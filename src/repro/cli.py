@@ -353,6 +353,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"({telemetry.cache_hits} cached, {telemetry.cache_misses} computed, "
         f"{telemetry.compute_seconds:.1f}s compute) on {runner.jobs} worker(s)"
     )
+    zoo = telemetry.zoo_training()
+    if zoo["pool"] or zoo["parent"]:
+        print(
+            f"# zoo training: pool [{', '.join(zoo['pool'])}], "
+            f"parent [{', '.join(zoo['parent'])}], {zoo['wall_s']:.1f}s wall"
+        )
     if any(telemetry.faults.values()):
         survived = ", ".join(f"{k}={v}" for k, v in telemetry.faults.items() if v)
         print(f"# fault tolerance: {survived}")

@@ -24,6 +24,16 @@ surface (:mod:`repro.pipeline.fingerprints`), so grid cells that evaluated
 the old model re-key in the same stroke.  This replaced the global
 ``ZOO_NUMERICS_VERSION`` filename tag -- see ``docs/caching.md``.
 
+Each cached ``.npz`` is one **training unit** (:class:`TrainingUnit`),
+declared as the entry's ``"units"`` metadata: ``lenet_digits`` and
+``alexnet_objects`` have one each, ``dq_objects`` its full and weight-only
+models, ``substitute_digits`` one per victim (waiting for ``lenet_digits``,
+which its recipe ``depends_on``).  A ``--jobs N`` run trains the missing
+units of a cold zoo concurrently on a fork pool before it resolves any model
+(:mod:`repro.parallel.engine`); every unit publishes through the same lock
+and atomic write, so pool, parent and foreign processes never train one
+twice.
+
 All entries are registered in the unified ``"zoo"`` registry so the experiment
 pipeline can resolve them by name.
 """
@@ -31,14 +41,15 @@ pipeline can resolve them by name.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple
-
-import numpy as np
+from time import perf_counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.datasets import DataSplit, generate_digits, generate_objects, train_test_split
 from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
 from repro.nn.network import Sequential
+from repro.obs import TRACER
 from repro.parallel.locks import FileLock, atomic_path
 from repro.registry import registry
 
@@ -202,49 +213,92 @@ def load_objects_split(test_fraction: float = 0.2, fast: bool = False) -> DataSp
     return train_test_split(generate_objects(**config), test_fraction)
 
 
-def _try_load(model: Sequential, cache_path: Path) -> bool:
-    """Load cached parameters into ``model``; drops unreadable caches."""
-    if not cache_path.exists():
+@dataclass(frozen=True)
+class TrainingUnit:
+    """One cached ``.npz`` of the zoo: the piece of work a training pool schedules.
+
+    ``resolve()`` returns the unit's model, training and publishing its
+    parameters first (through :func:`_cached_model`) when ``path`` is
+    missing.  ``after`` holds the units whose published parameters that
+    training reads -- the units of every entry the recipe ``depends_on``.
+    """
+
+    name: str
+    path: Path
+    resolve: Callable[[], Sequential] = field(compare=False, repr=False)
+    after: Tuple["TrainingUnit", ...] = ()
+
+
+#: ``(unit name, training seconds)`` for every unit this process trained,
+#: in order; run telemetry reads the delta to report where training ran
+TRAINED_UNITS: List[Tuple[str, float]] = []
+
+
+def zoo_units(name: str, fast: bool = False, **kwargs) -> List[TrainingUnit]:
+    """The training units behind ``ZOO.create(name, fast=fast, **kwargs)``.
+
+    Empty for entries that declare no ``"units"`` metadata (test or
+    third-party registrations): they train wherever they are first resolved.
+    """
+    declare = ZOO.get(name).metadata.get("units")
+    return list(declare(fast=fast, **kwargs)) if declare is not None else []
+
+
+def _unit(
+    cache_name: str, recipe_name: str, resolve: Callable[[], Sequential], fast: bool
+) -> TrainingUnit:
+    """The unit cached as ``cache_name``, tagged with ``recipe_name``'s digest."""
+    after = tuple(
+        unit
+        for dep in zoo_recipe(recipe_name).get("depends_on", [])
+        for unit in zoo_units(dep, fast=fast)
+    )
+    return TrainingUnit(cache_name, zoo_cache_path(cache_name, recipe_name), resolve, after)
+
+
+def _try_load(model: Sequential, unit: TrainingUnit) -> bool:
+    """Load the unit's cached parameters into ``model``; drops unreadable caches."""
+    if not unit.path.exists():
         return False
     try:
-        model.load(str(cache_path))
+        with TRACER.span("zoo.load", cat="zoo", unit=unit.name):
+            model.load(str(unit.path))
         return True
     except (KeyError, ValueError, OSError, EOFError):
         # architecture changed since the cache was written (or the file
         # predates atomic writes and is truncated); retrain
         try:
-            cache_path.unlink()
+            unit.path.unlink()
         except OSError:
             pass
         return False
 
 
-def _save_atomic(model: Sequential, cache_path: Path) -> None:
-    """Publish trained parameters via tmp + rename (never a partial ``.npz``)."""
-    with atomic_path(cache_path, suffix=".npz") as tmp:
-        model.save(str(tmp))
-
-
 def _cached_model(
-    cache_name: str, recipe_name: str, builder: Callable[[], Sequential], trainer
+    unit: TrainingUnit, builder: Callable[[], Sequential], trainer: Callable[[Sequential], None]
 ) -> Sequential:
-    """Build a model and load cached parameters, or train and cache them.
+    """Build a unit's model and load its cached parameters, or train and publish them.
 
     Training happens under an advisory file lock, so concurrent processes
-    (pipeline pool workers, parallel CLI invocations) sharing the cache
-    directory train each model exactly once: whoever takes the lock first
-    trains and saves, everyone else blocks and then loads the published file.
+    (training-pool and cell-pool workers, parallel CLI invocations) sharing
+    the cache directory train each unit exactly once: whoever takes the lock
+    first trains and publishes atomically, everyone else blocks and then
+    loads the published file.
     """
     model = builder()
-    cache_path = zoo_cache_path(cache_name, recipe_name)
-    if _try_load(model, cache_path):
+    if _try_load(model, unit):
         return model
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    with FileLock(cache_path.with_name(cache_path.name + ".lock")):
-        if _try_load(model, cache_path):  # trained elsewhere while we waited
+    unit.path.parent.mkdir(parents=True, exist_ok=True)
+    with FileLock(unit.path.with_name(unit.path.name + ".lock")):
+        if _try_load(model, unit):  # trained elsewhere while we waited
             return model
-        trainer(model)
-        _save_atomic(model, cache_path)
+        model = builder()  # a failed load may have filled some parameters
+        start = perf_counter()
+        with TRACER.span("zoo.train", cat="zoo", unit=unit.name):
+            trainer(model)
+        TRAINED_UNITS.append((unit.name, perf_counter() - start))
+        with atomic_path(unit.path, suffix=".npz") as tmp:
+            model.save(str(tmp))
     return model
 
 
@@ -252,11 +306,18 @@ def _suffix(fast: bool) -> str:
     return "_fast" if fast else ""
 
 
+def _lenet_unit(fast: bool) -> TrainingUnit:
+    return _unit(
+        f"lenet_digits{_suffix(fast)}", "lenet_digits", lambda: lenet_digits(fast)[0], fast
+    )
+
+
 @ZOO.register(
     "lenet_digits",
     metadata={
         "summary": "exact LeNet-5 on the digit dataset",
         "recipe": LENET_DIGITS_RECIPE,
+        "units": lambda fast=False: [_lenet_unit(fast)],
     },
 )
 def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
@@ -296,7 +357,13 @@ def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
                 batch_size=schedule["batch_size"],
             )
 
-    return _cached_model(f"lenet_digits{_suffix(fast)}", "lenet_digits", build, train), split
+    return _cached_model(_lenet_unit(fast), build, train), split
+
+
+def _alexnet_unit(fast: bool) -> TrainingUnit:
+    return _unit(
+        f"alexnet_objects{_suffix(fast)}", "alexnet_objects", lambda: alexnet_objects(fast)[0], fast
+    )
 
 
 @ZOO.register(
@@ -304,6 +371,7 @@ def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     metadata={
         "summary": "exact AlexNet on the object dataset",
         "recipe": ALEXNET_OBJECTS_RECIPE,
+        "units": lambda fast=False: [_alexnet_unit(fast)],
     },
 )
 def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
@@ -342,7 +410,43 @@ def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
                 batch_size=schedule["batch_size"],
             )
 
-    return _cached_model(f"alexnet_objects{_suffix(fast)}", "alexnet_objects", build, train), split
+    return _cached_model(_alexnet_unit(fast), build, train), split
+
+
+def _dq_unit(mode: str, bits: int, fast: bool) -> TrainingUnit:
+    return _unit(
+        f"dq_{mode}_objects_{bits}b{_suffix(fast)}",
+        "dq_objects",
+        lambda: _dq_model(mode, bits, fast),
+        fast,
+    )
+
+
+def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = None) -> Sequential:
+    """One Defensive Quantization model (``mode`` is ``"full"`` or ``"weight"``)."""
+    recipe = DQ_OBJECTS_RECIPE
+    schedule = recipe["schedule"]
+    if split is None:
+        split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
+
+    def build() -> Sequential:
+        return build_dq_cnn(
+            split.train.input_shape, bits=bits, mode=mode, seed=recipe["arch"]["seed"]
+        )
+
+    def train(model: Sequential) -> None:
+        optimizer = Adam(model.parameters(), lr=recipe["optimizer"]["lr"])
+        epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
+        train_classifier(
+            model,
+            optimizer,
+            split.train.images,
+            split.train.labels,
+            epochs=epochs,
+            batch_size=schedule["batch_size"],
+        )
+
+    return _cached_model(_dq_unit(mode, bits, fast), build, train)
 
 
 @ZOO.register(
@@ -350,6 +454,9 @@ def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     metadata={
         "summary": "Defensive Quantization models on the objects",
         "recipe": DQ_OBJECTS_RECIPE,
+        "units": lambda fast=False, bits=4: [
+            _dq_unit(mode, bits, fast) for mode in DQ_OBJECTS_RECIPE["arch"]["modes"]
+        ],
     },
 )
 def dq_models_objects(
@@ -360,32 +467,18 @@ def dq_models_objects(
     Returns a dict with keys ``"full"`` and ``"weight"``.
     """
     recipe = DQ_OBJECTS_RECIPE
-    schedule = recipe["schedule"]
     split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
-    models: Dict[str, Sequential] = {}
-    for mode in recipe["arch"]["modes"]:
-
-        def build(mode=mode) -> Sequential:
-            return build_dq_cnn(
-                split.train.input_shape, bits=bits, mode=mode, seed=recipe["arch"]["seed"]
-            )
-
-        def train(model: Sequential) -> None:
-            optimizer = Adam(model.parameters(), lr=recipe["optimizer"]["lr"])
-            epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
-            train_classifier(
-                model,
-                optimizer,
-                split.train.images,
-                split.train.labels,
-                epochs=epochs,
-                batch_size=schedule["batch_size"],
-            )
-
-        models[mode] = _cached_model(
-            f"dq_{mode}_objects_{bits}b{_suffix(fast)}", "dq_objects", build, train
-        )
+    models = {mode: _dq_model(mode, bits, fast, split) for mode in recipe["arch"]["modes"]}
     return models, split
+
+
+def _substitute_unit(victim: str, fast: bool) -> TrainingUnit:
+    return _unit(
+        f"substitute_{victim}_digits{_suffix(fast)}",
+        "substitute_digits",
+        lambda: substitute_digits(victim=victim, fast=fast),
+        fast,
+    )
 
 
 @ZOO.register(
@@ -393,6 +486,7 @@ def dq_models_objects(
     metadata={
         "summary": "black-box substitute trained from a digit victim's queries",
         "recipe": SUBSTITUTE_DIGITS_RECIPE,
+        "units": lambda fast=False, victim="da": [_substitute_unit(victim, fast)],
     },
 )
 def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
@@ -403,13 +497,12 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
     conversion.  The substitute's parameters are cached on disk next to the
     zoo models.
     """
+    from repro.core.substitute import train_substitute
     from repro.nn.models import convert_to_approximate
 
     recipe = SUBSTITUTE_DIGITS_RECIPE
     arch, schedule = recipe["arch"], recipe["schedule"]
     exact_model, split = lenet_digits(fast=fast)
-    victim_model = convert_to_approximate(exact_model) if victim == "da" else exact_model
-    cache_path = zoo_cache_path(f"substitute_{victim}_digits{_suffix(fast)}", "substitute_digits")
 
     def build() -> Sequential:
         return build_lenet5(
@@ -420,25 +513,18 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
             seed=arch["seed"],
         )
 
-    substitute = build()
-    if _try_load(substitute, cache_path):
-        return substitute
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    with FileLock(cache_path.with_name(cache_path.name + ".lock")):
-        if _try_load(substitute, cache_path):  # trained elsewhere while we waited
-            return substitute
-        from repro.core.substitute import train_substitute
-
+    def train(substitute: Sequential) -> None:
+        victim_model = convert_to_approximate(exact_model) if victim == "da" else exact_model
         n_queries = recipe["queries"]["fast_n_queries" if fast else "n_queries"]
-        substitute = train_substitute(
+        train_substitute(
             victim_model.predict,
             split.train.images[:n_queries],
-            build_model=build,
+            build_model=lambda: substitute,
             epochs=schedule["fast_epochs"] if fast else schedule["epochs"],
             augmentation_rounds=schedule[
                 "fast_augmentation_rounds" if fast else "augmentation_rounds"
             ],
             seed=schedule["seed"],
         )
-        _save_atomic(substitute, cache_path)
-    return substitute
+
+    return _cached_model(_substitute_unit(victim, fast), build, train)

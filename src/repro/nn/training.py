@@ -14,10 +14,9 @@ from repro.nn.optim import Optimizer
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch loss and accuracy curves."""
+    """Per-epoch training loss and (when validation data is given) accuracy."""
 
     losses: List[float] = field(default_factory=list)
-    train_accuracies: List[float] = field(default_factory=list)
     val_accuracies: List[float] = field(default_factory=list)
 
     @property
@@ -63,7 +62,8 @@ def train_classifier(
     The loop is deliberately simple (full-batch shuffling, fixed learning
     rate): the experiments only need models that reach solid clean accuracy on
     the synthetic datasets, mirroring the pre-trained exact classifiers of the
-    paper.
+    paper.  Only the optional validation set is scored after each epoch; the
+    model is left in eval mode.
     """
     rng = rng or np.random.default_rng(0)
     criterion = CrossEntropyLoss()
@@ -81,13 +81,11 @@ def train_classifier(
             epoch_losses.append(loss)
         model.set_training(False)
         history.losses.append(float(np.mean(epoch_losses)))
-        history.train_accuracies.append(evaluate_accuracy(model, x_train, y_train))
         if x_val is not None and y_val is not None:
             history.val_accuracies.append(evaluate_accuracy(model, x_val, y_val))
         if verbose:  # pragma: no cover - logging only
             val = history.val_accuracies[-1] if history.val_accuracies else float("nan")
             print(
-                f"epoch {epoch + 1}/{epochs}: loss={history.losses[-1]:.4f} "
-                f"train_acc={history.train_accuracies[-1]:.3f} val_acc={val:.3f}"
+                f"epoch {epoch + 1}/{epochs}: loss={history.losses[-1]:.4f} val_acc={val:.3f}"
             )
     return history

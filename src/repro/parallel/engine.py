@@ -36,6 +36,17 @@ multiplier LUTs are resolved once per process (and, under the default
 ``fork`` start method, models the parent warmed up before the pool was
 created are inherited copy-on-write and never rebuilt at all).
 
+Zoo training phase: before that warm-up, the zoo *training units* the owned
+cells need (:func:`repro.experiments.zoo.zoo_units`, one per cached
+``.npz``) are checked on disk.  When two or more are missing they are
+trained on a separate fork pool of ``runner.jobs`` workers -- units start as
+soon as the units they wait for have published (a substitute waits for its
+LeNet) -- so the phase costs about its longest chain instead of the serial
+sum, and the warm-up then only loads.  A unit the pool fails to publish (a
+crashed worker -- ``worker.crash`` at key ``zoo:<unit>`` -- or an error) is
+counted in ``faults["zoo_fallbacks"]`` and trained by the warm-up in the
+parent exactly as on the serial path, with the same bits.
+
 Start-method caveat: ``fork`` also carries *runtime* registry registrations
 (custom zoo entries, specs registered from a script) into the workers.  On
 platforms without ``fork`` the ``spawn`` fallback re-imports the package
@@ -58,11 +69,12 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
+from repro.experiments.zoo import TRAINED_UNITS, TrainingUnit, zoo_units
 from repro.faults import FAULTS, POOL_RESPAWN_LIMIT, backoff_seconds, shard_retries, shard_timeout
 from repro.obs import TRACER
 from repro.parallel.plan import CellOutcome, CellTask
 from repro.parallel.telemetry import DIGEST_WIDTH
-from repro.pipeline.cells import get_cell_kind
+from repro.pipeline.cells import get_cell_kind, zoo_requests
 from repro.store import Lease
 
 #: called with (task, outcome) as each cell completes
@@ -159,6 +171,29 @@ def _run_shard(
     return value, perf_counter() - start, stats
 
 
+_WORKER_UNITS: Dict[str, TrainingUnit] = {}
+
+
+def _units_worker_init(units: Dict[str, TrainingUnit]) -> None:
+    """Training-pool initialiser: the units arrive by fork, never pickled."""
+    global _WORKER_UNITS
+    _WORKER_UNITS = units
+
+
+def _train_unit(name: str) -> Tuple[bool, Dict[str, int]]:
+    """Train (or, if published meanwhile, load) one zoo unit in a worker.
+
+    Returns whether this worker trained it and its kernel-counter delta,
+    which the parent folds into the run telemetry (a DA-victim substitute
+    queries the approximate kernels while it trains).
+    """
+    FAULTS.maybe_crash(f"zoo:{name}")
+    trained_mark = len(TRAINED_UNITS)
+    kernel_mark = KERNEL_STATS.snapshot()
+    _WORKER_UNITS[name].resolve()
+    return len(TRAINED_UNITS) > trained_mark, KERNEL_STATS.delta(kernel_mark)
+
+
 @dataclass
 class _ShardRun:
     """One shard attempt in flight: identity, retry count, wall deadline."""
@@ -244,10 +279,103 @@ class ParallelEngine:
         return outcomes
 
     # ------------------------------------------------------------ internals
+    def _missing_units(self, tasks: List[CellTask]) -> Dict[str, TrainingUnit]:
+        """The unpublished zoo units behind ``tasks``, plus those they wait for."""
+        units: Dict[str, TrainingUnit] = {}
+
+        def add(unit: TrainingUnit) -> None:
+            if unit.name not in units:
+                units[unit.name] = unit
+                for dep in unit.after:
+                    add(dep)
+
+        requests = dict.fromkeys(r for task in tasks for r in zoo_requests(task.payload))
+        for name, kwargs in requests:
+            for unit in zoo_units(name, fast=self.runner.fast, **dict(kwargs)):
+                add(unit)
+        return {name: unit for name, unit in units.items() if not unit.path.exists()}
+
+    def _train_zoo(self, tasks: List[CellTask]) -> None:
+        """Train the cold zoo units ``tasks`` need on a fork pool (see module doc)."""
+        runner = self.runner
+        missing = self._missing_units(tasks)
+        if len(missing) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return  # nothing to overlap: the warm-up trains as the serial path does
+        waits = {
+            name: {dep.name for dep in unit.after} & set(missing) for name, unit in missing.items()
+        }
+        # units others wait for go first; the rest keep their request order
+        pending = sorted(missing, key=lambda name: not any(name in deps for deps in waits.values()))
+        workers = min(runner.jobs, len(missing))
+        start = perf_counter()
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_units_worker_init,
+            initargs=(missing,),
+        )
+        inflight: Dict[Future, str] = {}
+        published: Set[str] = set()
+
+        def submit_ready() -> bool:
+            """Submit every pending unit whose dependencies published; False if the pool broke."""
+            for name in [name for name in pending if not waits[name]]:
+                try:
+                    inflight[pool.submit(_train_unit, name)] = name
+                except BrokenProcessPool:
+                    return False
+                pending.remove(name)
+            return True
+
+        broken = False
+        try:
+            with TRACER.span("zoo.pool", cat="zoo", units=len(missing), workers=workers) as span:
+                broken = not submit_ready()
+                while inflight and not broken:
+                    done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
+                    for future in done:
+                        name = inflight.pop(future)
+                        try:
+                            trained, kernels = future.result()
+                        except BrokenProcessPool:
+                            broken = True  # a worker died and took the pool with it
+                            continue
+                        except Exception as exc:
+                            # left, with the units waiting for it, to the warm-up,
+                            # which raises again in-process if the failure is real
+                            warnings.warn(
+                                f"zoo unit {name} failed on the training pool ({exc!r}); "
+                                "training it in-process",
+                                RuntimeWarning,
+                                stacklevel=2,
+                            )
+                            continue
+                        published.add(name)
+                        for deps in waits.values():
+                            deps.discard(name)
+                        if trained:
+                            runner.telemetry.zoo_pool.append(name)
+                        runner.telemetry.fold_worker({"kernels": kernels})
+                    broken = broken or not submit_ready()
+                span["published"] = len(published)
+        except BaseException:
+            _kill_pool(pool)  # interrupted: don't wait out the units in flight
+            raise
+        if broken:
+            _kill_pool(pool)
+        else:
+            pool.shutdown(wait=True)
+        runner.telemetry.zoo_pool_s += perf_counter() - start
+        if broken:
+            runner.telemetry.count_fault("worker_crashes")
+        if len(published) < len(missing):
+            runner.telemetry.count_fault("zoo_fallbacks", len(missing) - len(published))
+
     def _compute_owned(
         self, tasks: List[CellTask], leases: Dict[str, Lease], finish: OnCell
     ) -> None:
         runner = self.runner
+        self._train_zoo(tasks)
         for task in tasks:  # resolve shared models once, before the fork
             get_cell_kind(task.kind).warm(runner, task.payload)
         methods = multiprocessing.get_all_start_methods()

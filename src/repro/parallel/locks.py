@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
@@ -98,12 +99,14 @@ def atomic_path(path: Union[str, Path], suffix: str = "") -> Iterator[Path]:
 
     ``suffix`` is appended to the temporary name (``np.savez`` appends
     ``.npz`` unless the target already ends with it, so ``.npz`` writers pass
-    ``suffix=".npz"``).  On error the temporary file is removed and nothing is
-    published.
+    ``suffix=".npz"``).  The name carries the pid *and* the thread id, so
+    concurrent writers of one path -- other processes, or service threads
+    publishing the same ``results/<name>.json`` -- never share a temporary
+    file.  On error the temporary file is removed and nothing is published.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp{suffix}"
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp{suffix}"
     try:
         yield tmp
         os.replace(tmp, path)

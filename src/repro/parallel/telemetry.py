@@ -30,6 +30,12 @@ from repro.attacks.base import QUERY_STATS
 DIGEST_WIDTH = 12
 
 
+def _zoo_mark() -> int:
+    from repro.experiments.zoo import TRAINED_UNITS  # lazy: zoo imports this package
+
+    return len(TRAINED_UNITS)
+
+
 def _remote_mark() -> Dict[str, int]:
     # lazy: repro.store imports repro.parallel.locks, so a top-level import
     # here would close an import cycle through this package's __init__
@@ -84,14 +90,22 @@ class RunTelemetry:
     worker_queries: Dict[str, int] = field(default_factory=dict)
     #: pids of every worker that contributed a shard to this run
     worker_pids: List[int] = field(default_factory=list)
+    #: zoo units this process had trained when the run began (an index into
+    #: :data:`repro.experiments.zoo.TRAINED_UNITS`); :meth:`zoo_training`
+    #: reports the units trained since
+    zoo_mark: int = field(default_factory=_zoo_mark)
+    #: units the engine's training pool trained, and that phase's wall time
+    zoo_pool: List[str] = field(default_factory=list)
+    zoo_pool_s: float = 0.0
     #: merged-trace summary ({"path", "spans", "pids"}) when the run was
     #: traced (``REPRO_TRACE``); ``None`` otherwise
     trace: Optional[Dict[str, Any]] = None
     #: fault-tolerance event counts for this run: shard retries, timeouts,
     #: worker crashes, pool respawns, serial degradation, lease re-acquires,
-    #: manifest-resumed cells, and remote-tier degradation (calls that fell
-    #: back to local compute / foreign artifacts refused by the trust rules).
-    #: Zero across the board on a healthy run.
+    #: manifest-resumed cells, remote-tier degradation (calls that fell
+    #: back to local compute / foreign artifacts refused by the trust rules),
+    #: and zoo units the training pool failed to publish (trained in the
+    #: parent instead).  Zero across the board on a healthy run.
     faults: Dict[str, int] = field(
         default_factory=lambda: {
             "shard_retries": 0,
@@ -103,6 +117,7 @@ class RunTelemetry:
             "cells_resumed": 0,
             "remote_fallbacks": 0,
             "remote_rejects": 0,
+            "zoo_fallbacks": 0,
         }
     )
 
@@ -169,6 +184,22 @@ class RunTelemetry:
 
         return REMOTE_STATS.delta(self.remote_mark)
 
+    def zoo_training(self) -> Dict[str, Any]:
+        """Where this run's zoo training ran: pool units, parent units, wall.
+
+        ``wall_s`` is the training pool's wall time plus the seconds this
+        process spent training units itself (the ``--jobs 1`` path, or
+        units the pool failed to publish).
+        """
+        from repro.experiments.zoo import TRAINED_UNITS
+
+        parent = TRAINED_UNITS[self.zoo_mark :]
+        return {
+            "pool": list(self.zoo_pool),
+            "parent": [name for name, _ in parent],
+            "wall_s": round(self.zoo_pool_s + sum(seconds for _, seconds in parent), 3),
+        }
+
     def progress_line(self, event: Optional[CellEvent] = None) -> str:
         """Human-readable progress for one event against the run totals."""
         event = event or (self.events[-1] if self.events else None)
@@ -220,6 +251,7 @@ class RunTelemetry:
             "remote": self.remote_totals(),
             "worker_pids": sorted(self.worker_pids),
             "faults": dict(self.faults),
+            "zoo": self.zoo_training(),
             "cells": [e.to_dict() for e in self.events],
         }
         if self.trace is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -307,6 +307,23 @@ def _mean(values: List[float]) -> float:
 _WARMED: set = set()
 
 
+def zoo_requests(payload: Dict[str, Any]) -> List[Tuple[str, Tuple[Tuple[str, Any], ...]]]:
+    """The zoo entries a cell payload resolves, each with its keyword arguments.
+
+    Reads the payload fields :func:`zoo_surfaces` fingerprints: the spec
+    ``model``, the ``dq_zoo`` (planned only when a DQ variant is involved)
+    and a black-box ``substitute`` trained against the cell's ``victim``.
+    The keyword arguments come as sorted ``(key, value)`` pairs, so a
+    request is hashable.  The pre-fork warm-up resolves exactly these; the
+    parallel engine trains their missing units first
+    (:mod:`repro.parallel.engine`).
+    """
+    requests = [(payload[field], ()) for field in ("model", "dq_zoo") if payload.get(field)]
+    if payload.get("substitute"):
+        requests.append((payload["substitute"], (("victim", payload["victim"]),)))
+    return requests
+
+
 def _warm_model(runner, payload: Dict[str, Any], variants: List[str]) -> None:
     """Resolve (train or load) the zoo models a cell depends on.
 
@@ -314,26 +331,21 @@ def _warm_model(runner, payload: Dict[str, Any], variants: List[str]) -> None:
     warm-up runs in the parent before the worker pool forks, so the variant
     models, the mantissa LUTs *and* the kernels' precomposed signed-product
     tables are all inherited copy-on-write instead of being rebuilt once per
-    worker.  Memoised per (model, variants, fast) signature -- experiments
-    that share cells share one warm-up instead of re-priming per cell.
+    worker.  Memoised per (zoo requests, variants, fast) signature --
+    experiments that share cells share one warm-up instead of re-priming per
+    cell.
     """
-    key = (
-        payload.get("model"),
-        bool(runner.fast),
-        tuple(sorted(variants)),
-        payload.get("dq_zoo"),
-    )
+    requests = zoo_requests(payload)
+    key = (bool(runner.fast), tuple(requests), tuple(sorted(variants)))
     if key in _WARMED:
         return
+    for name, kwargs in requests:
+        runner.zoo(name, **dict(kwargs))
     if payload.get("model"):
-        runner.zoo(payload["model"])
         spec = _payload_spec(payload)
         for variant in variants:
-            if variant.startswith("dq_"):
-                continue  # resolved through the DQ zoo below
-            prime_gemm_kernels(runner.resolve_variant(spec, variant))
-    if "dq_zoo" in payload and any(v.startswith("dq_") for v in variants):
-        runner.zoo(payload["dq_zoo"])
+            if not variant.startswith("dq_"):  # DQ models came from the dq_zoo above
+                prime_gemm_kernels(runner.resolve_variant(spec, variant))
     _WARMED.add(key)
 
 
@@ -420,17 +432,12 @@ def _blackbox_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Di
     }
 
 
-def _blackbox_warm(runner, payload: Dict[str, Any]) -> None:
-    _warm_model(runner, payload, [payload["victim"]])
-    runner.zoo(payload["substitute"], victim=payload["victim"])
-
-
 register_cell_kind(
     "blackbox",
     shard=_blackbox_shard,
     merge=_blackbox_merge,
     shards=_attack_shards,
-    warm=_blackbox_warm,
+    warm=lambda runner, payload: _warm_model(runner, payload, [payload["victim"]]),
     # the substitute is trained from the victim's query labels, so a victim
     # that runs approximately ("da") pulls in the kernel surfaces even though
     # the substitute itself is exact

@@ -323,11 +323,12 @@ class Runner:
                     )
                 outcomes = self._compute_cells(plan)
                 # cell compute is shared across the run's experiments, so
-                # kernel and query activity cannot be attributed per
-                # experiment: every result carries the same run-scoped counter
+                # kernel, query and zoo-training activity cannot be attributed
+                # per experiment: every result carries the same run-scoped
                 # totals (pool workers folded in), marked as such
                 kernel_delta = {"scope": "run", **self.telemetry.kernel_totals()}
                 query_delta = {"scope": "run", **self.telemetry.attack_queries()}
+                zoo_delta = {"scope": "run", **self.telemetry.zoo_training()}
                 remote_delta = None
                 if self.remote is not None:
                     # drain pending publications first so the recorded totals
@@ -349,6 +350,7 @@ class Runner:
                         result = self._assemble(eplan, plan, outcomes)
                         result.telemetry["kernels"] = dict(kernel_delta)
                         result.telemetry["attack_queries"] = dict(query_delta)
+                        result.telemetry["zoo"] = dict(zoo_delta)
                         if remote_delta is not None:
                             result.telemetry["remote"] = dict(remote_delta)
                             result.telemetry["faults"] = dict(self.telemetry.faults)

@@ -1,5 +1,7 @@
 """Tests for the Sequential container and the training loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,56 @@ def test_training_reduces_loss_and_reaches_high_accuracy():
     )
     assert history.losses[-1] < history.losses[0]
     # well above the 10 % chance level on this deliberately tiny setup
-    assert history.train_accuracies[-1] > 0.4
+    assert evaluate_accuracy(model, dataset.images, dataset.labels) > 0.4
+
+
+def weights_sha256(model):
+    digest = hashlib.sha256()
+    for key, value in sorted(model.state_dict().items()):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(value, dtype="<f4").tobytes())
+    return digest.hexdigest()
+
+
+def numerics_probe_sha256():
+    """SHA-256 of plain numpy/BLAS results at the pinned model's GEMM shapes.
+
+    Float rounding of matmul and the transcendental ufuncs depends on the
+    BLAS build, its CPU kernels and the numpy version; this probe tells
+    whether the platform rounds like the one the pin was recorded on.
+    """
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for m, k, n in ((3200, 9, 4), (4, 3200, 9), (288, 36, 8), (32, 24, 16), (16, 32, 10)):
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        digest.update((a @ b).tobytes())
+    x = rng.standard_normal((32, 10)).astype(np.float32)
+    outputs = (np.exp(x), np.log(np.abs(x) + 1e-3), np.sqrt(np.abs(x)), x.sum(0), x.mean(1))
+    for out in outputs:
+        digest.update(np.ascontiguousarray(out).tobytes())
+    return digest.hexdigest()
+
+
+#: recorded together on one platform (x86-64, OpenBLAS 0.3.31, numpy 2.4)
+PINNED_PROBE = "d7cd723621b0695173c3abc391782ef066fd74877d0a0ae39c650930135b8717"
+PINNED_WEIGHTS = "a29c70842aa17b0d00856d6b49e490e20af4fdb7d164a0cf92ee31223813318a"
+
+
+def test_trained_weights_are_pinned():
+    """A training-loop change that moves a single bit of the weights fails here.
+
+    The model's GEMMs are small enough that OpenBLAS runs them on one thread,
+    so the pin holds for any BLAS thread count; on a platform that rounds the
+    probe differently it cannot hold and the test skips instead.
+    """
+    if numerics_probe_sha256() != PINNED_PROBE:
+        pytest.skip("this platform's BLAS/ufunc rounding differs from the pinned one's")
+    dataset = generate_digits(200, size=12, seed=21)
+    model = build_lenet5((1, 12, 12), conv_channels=(4, 8), fc_sizes=(24, 16), dropout=0.2, seed=4)
+    optimizer = Adam(model.parameters(), lr=0.003)
+    train_classifier(model, optimizer, dataset.images, dataset.labels, epochs=3, batch_size=32)
+    assert weights_sha256(model) == PINNED_WEIGHTS
 
 
 def test_training_history_tracks_validation():

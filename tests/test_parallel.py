@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -114,6 +115,33 @@ def test_atomic_writes_publish_complete_files(tmp_path):
     assert target.read_text() == "replaced"
     # no temporary droppings left behind
     assert [p.name for p in target.parent.iterdir()] == ["artifact.json"]
+
+
+def test_threads_writing_one_path_at_once_all_succeed(tmp_path):
+    # service threads publish the same results/<name>.json concurrently; a
+    # temp name shared between them made one thread's replace steal the
+    # other's file (FileNotFoundError) or publish a torn one
+    target = tmp_path / "results" / "shared.json"
+    texts = [json.dumps({"writer": i, "pad": str(i) * 50_000}) for i in range(8)]
+    barrier = threading.Barrier(len(texts))
+    errors = []
+
+    def write(text):
+        barrier.wait()
+        try:
+            for _ in range(25):
+                atomic_write_text(target, text)
+        except Exception as exc:  # pragma: no cover - the failure being tested
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(text,)) for text in texts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert target.read_text() in texts
+    assert [p.name for p in target.parent.iterdir()] == ["shared.json"]
 
 
 # ------------------------------------------------- determinism across jobs
