@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from pathlib import Path
+from typing import Optional
 
 from repro.pipeline import ExperimentResult, Runner
 
@@ -51,6 +53,30 @@ def report_result(result: ExperimentResult) -> str:
     banner = report(result.name, result.table)
     result.write(RESULTS_DIR)  # overwrites the .txt with identical content + adds .json
     return banner
+
+
+def provenance() -> dict:
+    """The commit (and whether the tree differed from it) and the core count
+    a ``BENCH_*.json`` record was measured on."""
+    from repro.parallel.sharding import resolve_jobs
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", "-C", str(Path(__file__).resolve().parent), *args],
+                capture_output=True,
+                text=True,
+            )
+        except OSError:
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "cpu_count": resolve_jobs("auto"),
+    }
 
 
 # ------------------------------------------------------- regression checking

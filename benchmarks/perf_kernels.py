@@ -1,4 +1,4 @@
-"""Approximate-GEMM kernel microbenchmark: fused engine vs the pre-kernel path.
+"""Kernel microbenchmarks: fused approximate GEMM, and native conv/pool data movement.
 
 Times the hot loop of the emulated Ax-FPM forward pass -- the contraction
 ``out[n,f,l] = sum_k M(cols[n,k,l], w[f,k])`` -- two ways, on the conv and
@@ -13,7 +13,16 @@ dense shapes of the paper's LeNet/AlexNet-style models:
 Every conv-shape comparison asserts **byte-identical** outputs (the dense
 shapes assert byte-identity against the kernel contract -- the historical
 dense path summed a contiguous axis, whose pairwise order the engine does not
-reproduce).  Writes ``BENCH_kernels.json`` at the repository root::
+reproduce).
+
+A second section times the compiled conv/pool data movement of
+:mod:`repro.nn.native` against the numpy functions it replaces -- ``im2col``
+in the training convolution's two layouts, ``col2im`` of its input-gradient
+GEMM result, and the 2x2 max-pool forward and backward -- at the LeNet,
+AlexNet and DQ training shapes (fast-profile batch 64, channels-last inputs
+where training feeds them).  Every row compares bytes and strides; any
+difference fails the run.  The section is skipped, and says so, where no C
+compiler exists.  Writes ``BENCH_kernels.json`` at the repository root::
 
     PYTHONPATH=src python benchmarks/perf_kernels.py [--repeats N] [--out PATH]
 """
@@ -33,9 +42,11 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from common import check_regression, load_baseline  # noqa: E402
+from common import check_regression, load_baseline, provenance  # noqa: E402
 from repro.arith.fpm import AxFPM, HEAPMultiplier  # noqa: E402
 from repro.arith.kernels import KERNEL_STATS  # noqa: E402
+from repro.nn import functional as F  # noqa: E402
+from repro.nn import native  # noqa: E402
 
 #: ``--check`` gates the per-multiplier fused-vs-old speedup geomeans.  0.5x
 #: tolerates runner noise and BLAS/hardware variation; an accidental fallback
@@ -128,6 +139,114 @@ def bench_shape(multiplier, label, kind, n, f, k, l, repeats, rng):
     }
 
 
+#: (model, op, (N, C, H, W) input, padding, channels-last input): the data
+#: movement of one fast-profile training step (batch 64); LeNet's second
+#: pool is the odd 5x5 -> 2x2 one
+MOVEMENT_SHAPES = [
+    ("lenet", "im2col", (64, 1, 16, 16), 0, False),
+    ("lenet", "im2col", (64, 12, 7, 7), 0, False),
+    ("lenet", "col2im", (64, 12, 7, 7), 0, False),
+    ("lenet", "maxpool", (64, 12, 14, 14), 0, True),
+    ("lenet", "maxpool", (64, 24, 5, 5), 0, True),
+    ("alexnet", "im2col", (64, 3, 32, 32), 1, False),
+    ("alexnet", "im2col", (64, 24, 8, 8), 1, True),
+    ("alexnet", "col2im", (64, 8, 16, 16), 1, False),
+    ("alexnet", "col2im", (64, 24, 8, 8), 1, False),
+    ("alexnet", "maxpool", (64, 8, 32, 32), 0, True),
+    ("dq", "im2col", (64, 8, 32, 32), 1, True),
+    ("dq", "im2col", (64, 16, 16, 16), 1, True),
+    ("dq", "col2im", (64, 8, 32, 32), 1, False),
+    ("dq", "col2im", (64, 16, 16, 16), 1, False),
+    ("dq", "maxpool", (64, 8, 32, 32), 0, True),
+    ("dq", "maxpool", (64, 24, 8, 8), 0, True),
+]
+
+
+def _same(a, b) -> bool:
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and a.strides == b.strides
+        and a.tobytes() == b.tobytes()
+    )
+
+
+def _movement_case(op, shape, padding, channels_last, rng):
+    """``(native_fn, numpy_fn, label)`` for one :data:`MOVEMENT_SHAPES` row.
+
+    Each function returns the arrays of its op, so outputs can be compared.
+    """
+    n, c, h, w = shape
+    x = rng.standard_normal(shape).astype(np.float32)
+    if channels_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    if op == "im2col":
+        def run(im2col):
+            return [im2col(layout) for layout in ("nlk", "knl")]
+
+        def numpy_im2col(layout):
+            cols = F._im2col_numpy(x, (3, 3), 1, padding)
+            return cols.transpose(F.IM2COL_LAYOUTS[layout]).copy()
+
+        return (
+            lambda: run(lambda layout: F.im2col(x, (3, 3), 1, padding, layout=layout)),
+            lambda: run(numpy_im2col),
+            "nlk+knl",
+        )
+    if op == "col2im":
+        _, _, l = F.conv_geometry(h, w, 3, 1, padding)
+        # the training input gradient: an (N, L, K) GEMM result viewed as (N, K, L)
+        cols = rng.standard_normal((n, l, c * 9)).astype(np.float32).transpose(0, 2, 1)
+
+        def numpy_col2im():
+            padded = F._col2im_numpy(cols, shape, (3, 3), 1, padding)
+            return [padded[:, :, padding:-padding, padding:-padding] if padding else padded]
+
+        return lambda: [F.col2im(cols, shape, (3, 3), 1, padding)], numpy_col2im, "nlk source"
+    out, argmax = F._maxpool2d_forward_numpy(x, 2, 2)
+    grad = rng.standard_normal(out.shape).astype(np.float32)
+    return (
+        lambda: [*F.maxpool2d_forward(x), F.maxpool2d_backward(grad, argmax, shape)],
+        lambda: [
+            *F._maxpool2d_forward_numpy(x, 2, 2),
+            F._maxpool2d_backward_numpy(grad, argmax, shape, 2, 2),
+        ],
+        "fwd+bwd",
+    )
+
+
+def bench_movement(repeats, rng):
+    """Native vs numpy rows of :data:`MOVEMENT_SHAPES` (``None`` without the kernels)."""
+    if native.BACKEND.kernels() is None:
+        return None
+    rows = []
+    for model, op, shape, padding, channels_last in MOVEMENT_SHAPES:
+        fast, slow, what = _movement_case(op, shape, padding, channels_last, rng)
+        identical = all(_same(a, b) for a, b in zip(fast(), slow()))
+        t_native = best_time(fast, repeats)
+        t_numpy = best_time(slow, repeats)
+        rows.append(
+            {
+                "model": model,
+                "op": op,
+                "what": what,
+                "shape": list(shape),
+                "padding": padding,
+                "channels_last": channels_last,
+                "numpy_seconds": round(t_numpy, 6),
+                "native_seconds": round(t_native, 6),
+                "speedup": round(t_numpy / t_native, 3),
+                "byte_identical": identical,
+            }
+        )
+    return {
+        "library": native.BACKEND.kernels().path.name,
+        "shapes": rows,
+        "parity": all(r["byte_identical"] for r in rows),
+        "speedup_geomean": round(geomean([r["speedup"] for r in rows]), 3),
+    }
+
+
 def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values)) if values else float("nan")
 
@@ -151,6 +270,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     record = {
         "benchmark": "fused_approximate_gemm_kernels",
+        **provenance(),
         "frac_bits": args.frac_bits,
         "repeats": args.repeats,
         "platform": platform.platform(),
@@ -181,13 +301,19 @@ def main(argv=None) -> int:
     axfpm = record["multipliers"]["axfpm"]
     record["conv_speedup"] = axfpm["conv_speedup_geomean"]
     record["kernel_stats"] = KERNEL_STATS.snapshot()
+    movement = bench_movement(args.repeats, rng)
+    record["native_data_movement"] = movement
+    if movement is None:
+        print("# native conv/pool kernels unavailable (no C compiler): data-movement rows skipped")
+    elif not movement["parity"]:
+        failed = True
 
     out_path = Path(args.out)
     out_path.write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(record, indent=2))
     print(f"\n# wrote {out_path}")
     if failed:
-        print("ERROR: fused kernel diverged from the reference path", file=sys.stderr)
+        print("ERROR: a kernel diverged from its reference path", file=sys.stderr)
         return 1
     if args.check and check_regression(baseline, record, CHECK_METRICS):
         print("ERROR: kernel performance regressed against the baseline", file=sys.stderr)

@@ -12,17 +12,14 @@ performance trajectory across PRs:
 * ``jobs=auto``, warm cell cache -- every cell a hit, measuring plan +
   artifact-load overhead.
 
-It also estimates the cost of the ``repro.obs`` instrumentation when tracing
-is *off* (the shipped default): the per-call price of a disabled
-``TRACER.span()`` times the number of spans one traced run of the workload
-actually emits, as a fraction of the untraced wall time.  ``--check`` fails
-if that estimate reaches 2% -- the guard that keeps the tracer's disabled
-path an attribute read and an ``if``, never a context-manager allocation.
-The same estimate is made for the ``repro.faults`` injection sites with
-``REPRO_FAULTS`` unset, and for the remote artifact tier when no
-``--remote`` peer is configured (the per-read price of the tiered store's
-local-only delegation times the store reads one warm run issues), each
-under the same 2% ``--check`` budget.
+It also prices the machinery a default run carries but never switches on
+(:data:`OFF_PATHS`): the disabled ``repro.obs`` span (``REPRO_TRACE``
+unset), the disarmed ``repro.faults`` injection check (``REPRO_FAULTS``
+unset) and the remote tier's local-only delegation (no ``--remote`` peer).
+Each row times one crossing of its disabled path, counts the crossings one
+run of the workload makes, and reports their product as a fraction of that
+run's wall time; ``--check`` fails if any fraction reaches 2% -- the guard
+that keeps each disabled path an attribute read and an ``if``.
 
 Zoo models are resolved (trained or disk-loaded) once up front so the
 timings isolate pipeline execution, not model training.  Run it directly::
@@ -47,7 +44,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from common import check_regression, load_baseline  # noqa: E402
+from common import check_regression, load_baseline, provenance  # noqa: E402
 from repro.parallel.sharding import resolve_jobs  # noqa: E402
 from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, Runner  # noqa: E402
 from repro.pipeline.catalog import FAST_PERF_SUBSET  # noqa: E402
@@ -65,22 +62,13 @@ CHECK_METRICS = [
     ),
 ]
 
-#: absolute ceiling on the estimated tracing-off overhead fraction; unlike
+#: absolute ceiling on every estimated off-path overhead fraction; unlike
 #: the ratios above this is not baseline-relative -- 2% is the budget, full
-#: stop (the measured estimate is typically under 0.1%)
-MAX_TRACING_OFF_OVERHEAD = 0.02
+#: stop (the measured estimates are typically under 0.1%)
+MAX_OFF_OVERHEAD = 0.02
 
-#: same contract for the fault-injection sites: with ``REPRO_FAULTS`` unset
-#: every ``FAULTS.should_inject`` call must stay an attribute read and a
-#: ``return False``, and the sites a run crosses must cost under 2% of its
-#: wall time in aggregate
-MAX_FAULTS_OFF_OVERHEAD = 0.02
-
-#: and for the remote artifact tier: a run with no ``--remote`` peer must not
-#: pay for the tier's existence.  The estimate prices the worst plausible
-#: wiring (every store read going through a remote-less ``TieredStore``
-#: delegation instead of the plain local store) against a warm run's wall
-MAX_REMOTE_OFF_OVERHEAD = 0.02
+#: timed crossings per price; enough to resolve tens of nanoseconds
+PRICE_ITERATIONS = 200_000
 
 
 def _timed_run(jobs: int, cache_dir: Path, label: str, trials: int = 1) -> dict:
@@ -137,25 +125,29 @@ def _warm_run(jobs: int, cache_dir: Path, label: str) -> dict:
     }
 
 
-def _tracing_overhead(tmp: Path, untraced_wall: float) -> dict:
-    """Estimate the cost the instrumentation adds when ``REPRO_TRACE`` is off.
-
-    Two measurements: the per-call price of a *disabled* ``TRACER.span()``
-    (timed over enough iterations to resolve tens of nanoseconds), and the
-    span count of one traced serial run of the workload (how many
-    instrumented call sites the workload actually crosses).  Their product
-    over the untraced wall time is the estimated overhead fraction a default
-    (tracing-off) run pays for carrying the instrumentation.
-    """
-    from repro.obs import TRACER
-
-    iterations = 200_000
-    TRACER.configure(enabled=False)
+def _price(fn, iterations: int = PRICE_ITERATIONS) -> float:
+    """Seconds per call of ``fn``, averaged over ``iterations`` calls."""
     start = time.perf_counter()
     for _ in range(iterations):
+        fn()
+    return (time.perf_counter() - start) / iterations
+
+
+def _disabled_span_seconds() -> float:
+    from repro.obs import TRACER
+
+    TRACER.configure(enabled=False)
+
+    def crossing():
         with TRACER.span("bench", cat="bench"):
             pass
-    disabled_call_seconds = (time.perf_counter() - start) / iterations
+
+    return _price(crossing)
+
+
+def _spans_per_run(tmp: Path, runs: dict):
+    """Spans one traced serial cold run emits, against the untraced serial wall."""
+    from repro.obs import TRACER
 
     TRACER.configure(enabled=True, directory=tmp / "trace-spool")
     try:
@@ -164,34 +156,23 @@ def _tracing_overhead(tmp: Path, untraced_wall: float) -> dict:
         spans = (runner.telemetry.trace or {}).get("spans", 0)
     finally:
         TRACER.configure(enabled=False)
-
-    estimated = spans * disabled_call_seconds / max(untraced_wall, 1e-9)
-    return {
-        "disabled_span_ns": round(disabled_call_seconds * 1e9, 1),
-        "spans_per_run": spans,
-        "estimated_off_overhead": round(estimated, 6),
-        "max_off_overhead": MAX_TRACING_OFF_OVERHEAD,
-    }
+    return spans, runs["serial"]
 
 
-def _faults_overhead(tmp: Path, untraced_wall: float) -> dict:
-    """Estimate the cost of the fault-injection sites when they are disarmed.
+def _disarmed_check_seconds() -> float:
+    from repro.faults import FAULTS
 
-    Mirrors :func:`_tracing_overhead`: the per-call price of a *disarmed*
-    ``FAULTS.should_inject`` (one dict truthiness check) times the number of
-    injection sites one run of the workload actually crosses, over the
-    untimed serial wall.  The crossing count comes from arming every catalog
-    point at probability zero -- enabled enough to count ``checks``, certain
-    never to fire -- and reading the ``FAULT_STATS`` delta after a serial run.
+    FAULTS.configure(None)
+    return _price(lambda: FAULTS.should_inject("worker.crash", "bench"))
+
+
+def _fault_sites_per_run(tmp: Path, runs: dict):
+    """Injection sites one serial cold run crosses, against the serial wall.
+
+    Every catalog point is armed at probability zero -- enabled enough to
+    count ``checks``, certain never to fire.
     """
     from repro.faults import FAULT_POINTS, FAULT_STATS, FAULTS
-
-    iterations = 200_000
-    FAULTS.configure(None)
-    start = time.perf_counter()
-    for _ in range(iterations):
-        FAULTS.should_inject("worker.crash", "bench")
-    disabled_call_seconds = (time.perf_counter() - start) / iterations
 
     FAULTS.configure(",".join(f"{point}:0" for point in sorted(FAULT_POINTS)))
     mark = FAULT_STATS.snapshot()
@@ -201,60 +182,66 @@ def _faults_overhead(tmp: Path, untraced_wall: float) -> dict:
         checks = FAULT_STATS.delta(mark).get("checks", 0)
     finally:
         FAULTS.configure(None)
-
-    estimated = checks * disabled_call_seconds / max(untraced_wall, 1e-9)
-    return {
-        "disabled_check_ns": round(disabled_call_seconds * 1e9, 1),
-        "site_crossings_per_run": checks,
-        "estimated_off_overhead": round(estimated, 6),
-        "max_off_overhead": MAX_FAULTS_OFF_OVERHEAD,
-    }
+    return checks, runs["serial"]
 
 
-def _remote_overhead(tmp: Path, warm_dir: Path) -> dict:
-    """Estimate what the remote tier costs a run that never asked for it.
+class _StubStore:
+    """A local tier whose hit costs one method call and nothing else, so what
+    a remote-less :class:`TieredStore` read adds over it is the delegation
+    alone, not file-system noise."""
 
-    A runner without ``--remote`` uses the plain local store, so the real
-    overhead is a single ``is None`` check per run; this estimate prices the
-    *worst plausible wiring* instead -- every cache read routed through a
-    remote-less :class:`TieredStore` delegation.  The per-read delegation
-    price (tiered get minus plain local get, timed over a hit artifact) is
-    multiplied by the store reads one warm serial run actually issues
-    (``STORE_STATS.reads`` delta) over that run's wall time.
+    def get(self, namespace, digest):
+        return namespace
+
+
+def _remote_delegation_seconds() -> float:
+    """Per-read price of routing a hit through a remote-less ``TieredStore``.
+
+    A runner without ``--remote`` uses the plain local store, so this prices
+    the worst plausible wiring instead: every read delegated.
     """
-    from repro.store import STORE_STATS, ArtifactStore, TieredStore
+    from repro.store import TieredStore
 
-    local = ArtifactStore(tmp / "remote-probe")
-    digest = "d" * 16
-    local.put("bench", digest, {"v": 1})
-    tiered = TieredStore(local, remote=None)
-    iterations = 20_000
-    for store in (local, tiered):  # touch both paths before timing
-        store.get("bench", digest)
-    start = time.perf_counter()
-    for _ in range(iterations):
-        local.get("bench", digest)
-    local_call = (time.perf_counter() - start) / iterations
-    start = time.perf_counter()
-    for _ in range(iterations):
-        tiered.get("bench", digest)
-    tiered_call = (time.perf_counter() - start) / iterations
-    delegation_seconds = max(0.0, tiered_call - local_call)
+    stub = _StubStore()
+    tiered = TieredStore(stub, remote=None)
+    return max(0.0, _price(lambda: tiered.get("bench", "d")) - _price(lambda: stub.get("bench", "d")))
+
+
+def _store_reads_per_run(tmp: Path, runs: dict):
+    """Store reads one warm serial run issues, against that run's wall."""
+    from repro.store import STORE_STATS
 
     mark = STORE_STATS.snapshot()
-    runner = Runner(fast=True, cache_dir=warm_dir, jobs=1)
+    runner = Runner(fast=True, cache_dir=tmp / "serial" / "trial1", jobs=1)
     start = time.perf_counter()
     runner.run_many(list(FAST_PERF_SUBSET))
-    warm_wall = time.perf_counter() - start
-    reads = STORE_STATS.delta(mark).get("reads", 0)
+    wall = time.perf_counter() - start
+    return STORE_STATS.delta(mark).get("reads", 0), wall
 
-    estimated = reads * delegation_seconds / max(warm_wall, 1e-9)
-    return {
-        "delegation_ns_per_read": round(delegation_seconds * 1e9, 1),
-        "reads_per_warm_run": reads,
-        "estimated_off_overhead": round(estimated, 6),
-        "max_off_overhead": MAX_REMOTE_OFF_OVERHEAD,
-    }
+
+#: the disabled paths a default run carries: ``(record key, seconds per
+#: crossing, (tmp, run walls) -> (crossings per run, that run's wall))``
+OFF_PATHS = (
+    ("tracing", _disabled_span_seconds, _spans_per_run),
+    ("faults", _disarmed_check_seconds, _fault_sites_per_run),
+    ("remote", _remote_delegation_seconds, _store_reads_per_run),
+)
+
+
+def _off_overheads(tmp: Path, runs: dict) -> dict:
+    """Each :data:`OFF_PATHS` row priced against the run that crosses it."""
+    record = {}
+    for key, price, crossings in OFF_PATHS:
+        seconds = price()
+        count, wall = crossings(tmp, runs)
+        record[key] = {
+            "ns_per_crossing": round(seconds * 1e9, 1),
+            "crossings_per_run": count,
+            "run_wall_seconds": round(wall, 4),
+            "estimated_off_overhead": round(count * seconds / max(wall, 1e-9), 6),
+            "max_off_overhead": MAX_OFF_OVERHEAD,
+        }
+    return record
 
 
 def main(argv=None) -> int:
@@ -300,24 +287,20 @@ def main(argv=None) -> int:
         warm_cache = _warm_run(
             jobs, tmp / "parallel" / "trial1", f"pool rerun (jobs={jobs}), warm cache"
         )
-        tracing = _tracing_overhead(tmp, serial["wall_seconds"])
-        faults = _faults_overhead(tmp, serial["wall_seconds"])
-        remote = _remote_overhead(tmp, tmp / "serial" / "trial1")
+        off = _off_overheads(tmp, {"serial": serial["wall_seconds"]})
 
     identical = serial.pop("_deterministic_payload") == parallel.pop("_deterministic_payload")
     record = {
         "benchmark": "pipeline_parallel_execution",
+        **provenance(),
         "workload": list(FAST_PERF_SUBSET),
         "fast_profile": True,
-        "cpu_count": resolve_jobs("auto"),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "runs": [serial, parallel, warm_cache],
         "speedup": round(serial["wall_seconds"] / max(parallel["wall_seconds"], 1e-9), 3),
         "results_identical_across_jobs": identical,
-        "tracing": tracing,
-        "faults": faults,
-        "remote": remote,
+        **off,
     }
     out_path = Path(args.out)
     out_path.write_text(json.dumps(record, indent=2) + "\n")
@@ -326,29 +309,14 @@ def main(argv=None) -> int:
     if not identical:
         print("ERROR: parallel results diverged from serial", file=sys.stderr)
         return 1
-    if args.check and tracing["estimated_off_overhead"] >= MAX_TRACING_OFF_OVERHEAD:
-        print(
-            f"ERROR: tracing-off overhead estimate "
-            f"{tracing['estimated_off_overhead']:.4f} exceeds the "
-            f"{MAX_TRACING_OFF_OVERHEAD:.0%} budget",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and faults["estimated_off_overhead"] >= MAX_FAULTS_OFF_OVERHEAD:
-        print(
-            f"ERROR: faults-off overhead estimate "
-            f"{faults['estimated_off_overhead']:.4f} exceeds the "
-            f"{MAX_FAULTS_OFF_OVERHEAD:.0%} budget",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and remote["estimated_off_overhead"] >= MAX_REMOTE_OFF_OVERHEAD:
-        print(
-            f"ERROR: remote-off overhead estimate "
-            f"{remote['estimated_off_overhead']:.4f} exceeds the "
-            f"{MAX_REMOTE_OFF_OVERHEAD:.0%} budget",
-            file=sys.stderr,
-        )
+    over = [key for key, _, _ in OFF_PATHS if off[key]["estimated_off_overhead"] >= MAX_OFF_OVERHEAD]
+    if args.check and over:
+        for key in over:
+            print(
+                f"ERROR: {key}-off overhead estimate {off[key]['estimated_off_overhead']:.4f} "
+                f"exceeds the {MAX_OFF_OVERHEAD:.0%} budget",
+                file=sys.stderr,
+            )
         return 1
     if args.check and check_regression(baseline, record, CHECK_METRICS):
         print("ERROR: performance regressed against the recorded baseline", file=sys.stderr)

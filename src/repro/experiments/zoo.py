@@ -41,6 +41,7 @@ pipeline can resolve them by name.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -201,16 +202,48 @@ def zoo_cache_path(cache_name: str, recipe_name: str) -> Path:
     return CACHE_DIR / f"{cache_name}_{tag}.npz"
 
 
+#: per-process memo of the dataset splits, keyed ``(dataset, test_fraction,
+#: fast)``; the arrays are read-only, since every caller shares them
+_SPLITS: Dict[Tuple[str, float, bool], DataSplit] = {}
+_SPLITS_LOCK = threading.Lock()
+
+
+def _memo_split(name: str, test_fraction: float, fast: bool, make: Callable[[], DataSplit]) -> DataSplit:
+    key = (name, float(test_fraction), bool(fast))
+    with _SPLITS_LOCK:
+        split = _SPLITS.get(key)
+    if split is not None:
+        return split
+    # generated outside the lock, which a fork must never inherit held; two
+    # threads racing here build equal splits and keep the first published
+    split = make()
+    for part in (split.train, split.test):
+        part.images.flags.writeable = False
+        part.labels.flags.writeable = False
+    with _SPLITS_LOCK:
+        return _SPLITS.setdefault(key, split)
+
+
+def clear_dataset_splits() -> None:
+    """Drop the memoised splits (the next load regenerates them)."""
+    with _SPLITS_LOCK:
+        _SPLITS.clear()
+
+
 def load_digits_split(test_fraction: float = 0.15, fast: bool = False) -> DataSplit:
-    """The digit dataset split used by all digit experiments."""
+    """The digit dataset split used by all digit experiments (memoised per process)."""
     config = DIGITS_CONFIG_FAST if fast else DIGITS_CONFIG
-    return train_test_split(generate_digits(**config), test_fraction)
+    return _memo_split(
+        "digits", test_fraction, fast, lambda: train_test_split(generate_digits(**config), test_fraction)
+    )
 
 
 def load_objects_split(test_fraction: float = 0.2, fast: bool = False) -> DataSplit:
-    """The object dataset split used by all object experiments."""
+    """The object dataset split used by all object experiments (memoised per process)."""
     config = OBJECTS_CONFIG_FAST if fast else OBJECTS_CONFIG
-    return train_test_split(generate_objects(**config), test_fraction)
+    return _memo_split(
+        "objects", test_fraction, fast, lambda: train_test_split(generate_objects(**config), test_fraction)
+    )
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,8 @@ class ApproxConv2d(_KernelHolder, Conv2d):
         f = self.out_channels
         k = self.kernel_size
         cols = F.im2col(x, (k, k), self.stride, self.padding)  # (N, K, L)
-        self._cache = (cols, x.shape)
+        # what the inherited backward reads (see F.conv2d_forward)
+        self._cache = (x if self.training else cols, x.shape)
         w_mat = self.weight.value.reshape(f, -1)  # (F, K)
 
         out_h, out_w, l = F.conv_geometry(h, w, k, self.stride, self.padding)

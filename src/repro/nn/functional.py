@@ -25,6 +25,17 @@ Parameter-gradient GEMMs (``grad.T @ x``) reduce *over* the batch and are
 inherently batch-shaped; they only feed training and keep the fast fused
 path.  The batched attack engine (:mod:`repro.attacks.batched`) relies on
 this contract for its bit-for-bit active-set rollouts.
+
+Data movement
+-------------
+:func:`im2col`, :func:`col2im` and the 2x2 max-pool dispatch to the compiled
+kernels of :mod:`repro.nn.native` when the process has them, and otherwise
+run the numpy implementations here (``_im2col_numpy`` and friends), which are
+also the kernels' parity oracle: both paths give the same bytes.  The
+training-mode (whole-batch) convolution issues its GEMMs on operands in the
+layouts ``einsum`` builds for them, and keeps each output's strides: the
+convolution output is channels-last in memory, and the BatchNorm reductions
+after it sum in memory order, so the layout is part of the training numerics.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from repro.nn import native
 
 #: column width of every :func:`batch_invariant_matmul` BLAS call.  Any fixed
 #: value works (calls of one constant shape always take one BLAS path); 32
@@ -99,21 +112,36 @@ def conv_geometry(
     return out_h, out_w, out_h * out_w
 
 
+#: the patch-matrix layouts :func:`im2col` writes, and the axis permutation
+#: that views each as ``(N, K, L)``: the per-example GEMMs and the fused
+#: approximate kernels read ``(N, K, L)``; the training convolution's
+#: whole-batch GEMMs read ``(N, L, K)`` rows and ``(K, N, L)`` columns
+IM2COL_LAYOUTS = {"nkl": (0, 1, 2), "nlk": (0, 2, 1), "knl": (1, 0, 2)}
+
+
 def im2col(
-    x: np.ndarray, kernel: Tuple[int, int], stride: int = 1, padding: int = 0
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: int = 1,
+    padding: int = 0,
+    layout: str = "nkl",
 ) -> np.ndarray:
     """Rearrange image patches into columns.
 
     Parameters
     ----------
     x:
-        Input of shape ``(N, C, H, W)``.
+        Input of shape ``(N, C, H, W)``, any strides.
     kernel:
         ``(kh, kw)`` window size.
+    layout:
+        ``"nkl"`` (default), ``"nlk"`` or ``"knl"``: the axis order of the
+        C-contiguous result (see :data:`IM2COL_LAYOUTS`).
 
     Returns
     -------
-    Array of shape ``(N, C * kh * kw, out_h * out_w)``.
+    Array of shape ``(N, C * kh * kw, out_h * out_w)`` (``"nkl"``), or the
+    same patches as ``(N, L, K)`` / ``(K, N, L)``.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -124,6 +152,25 @@ def im2col(
             f"invalid convolution geometry: input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}"
         )
+    perm = IM2COL_LAYOUTS[layout]
+    kernels = native.BACKEND.kernels()
+    if kernels is not None:
+        nkl = (n, c * kh * kw, out_h * out_w)
+        out = np.empty(tuple(nkl[axis] for axis in perm), dtype=np.float32)
+        if kernels.im2col(x, kernel, stride, padding, out.transpose(perm)):
+            return out
+    cols = _im2col_numpy(x, kernel, stride, padding)
+    return cols if layout == "nkl" else cols.transpose(perm).copy()
+
+
+def _im2col_numpy(
+    x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
+) -> np.ndarray:
+    """The numpy :func:`im2col` (``"nkl"`` layout): fallback and parity oracle."""
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
 
@@ -143,7 +190,27 @@ def col2im(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` (accumulating overlapping patches)."""
+    """Inverse of :func:`im2col` (accumulating overlapping patches).
+
+    ``cols`` is the ``(N, K, L)`` patch matrix, any strides.
+    """
+    kernels = native.BACKEND.kernels()
+    padded = None if kernels is None else kernels.col2im(cols, input_shape, kernel, stride, padding)
+    if padded is None:
+        padded = _col2im_numpy(cols, input_shape, kernel, stride, padding)
+    if padding:
+        return padded[:, :, padding:-padding, padding:-padding]
+    return padded
+
+
+def _col2im_numpy(
+    cols: np.ndarray,
+    input_shape: Tuple[int, int, int, int],
+    kernel: Tuple[int, int],
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """The padded numpy :func:`col2im`: fallback and parity oracle."""
     n, c, h, w = input_shape
     kh, kw = kernel
     out_h = conv_output_size(h, kh, stride, padding)
@@ -155,12 +222,21 @@ def col2im(
         for j in range(kw):
             j_end = j + stride * out_w
             padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j, :, :]
-    if padding:
-        return padded[:, :, padding:-padding, padding:-padding]
     return padded
 
 
 # ---------------------------------------------------------------- convolution
+def _whole_batch_gemms(n: int, f: int, k: int, l: int) -> bool:
+    """Whether the training convolution issues its own 2-D GEMMs.
+
+    They are the ``np.matmul`` calls ``einsum(optimize=True)`` makes for these
+    contractions, on the operands it builds.  With a singleton ``N``, ``F``,
+    ``K`` or ``L`` einsum squeezes that axis and calls a different BLAS
+    routine, so those shapes keep the einsum call itself.
+    """
+    return min(n, f, k, l) > 1
+
+
 def conv2d_forward(
     x: np.ndarray,
     weight: np.ndarray,
@@ -171,32 +247,43 @@ def conv2d_forward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact convolution forward pass.
 
-    Returns ``(output, columns)`` where ``columns`` is the im2col buffer needed
-    by the backward pass.  ``batch_invariant=False`` (training-mode passes,
-    which are batch-shaped anyway through BatchNorm and the batch-mean loss)
-    keeps the fused whole-batch einsum instead of the per-example GEMMs.
+    Returns ``(output, saved)``, where ``saved`` is what
+    :func:`conv2d_backward` needs: the im2col columns for batch-invariant
+    passes, the input ``x`` itself for training passes
+    (``batch_invariant=False``, batch-shaped anyway through BatchNorm and the
+    batch-mean loss), which contract the whole batch in one GEMM
+    ``rows(N*L, K) @ W(F, K).T`` and rebuild their columns in the backward
+    pass instead of keeping the ``kh*kw``-times larger patch matrix alive.
     """
     n, _, h, w = x.shape
     f, _, kh, kw = weight.shape
-    cols = im2col(x, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
     w_mat = weight.reshape(f, -1)  # (F, C*kh*kw)
+    k = w_mat.shape[1]
     out_h, out_w, l = conv_geometry(h, w, (kh, kw), stride, padding)
     if batch_invariant:
+        cols = im2col(x, (kh, kw), stride, padding)  # (N, C*kh*kw, L)
         # one (F, K) x (K, L) GEMM per example: the call shape is a constant
         # of the layer geometry, so each example's output is bitwise
         # independent of the batch size (see the module docstring)
         out = np.empty((n, f, l), dtype=np.float32)
         for i in range(n):
             out[i] = w_mat @ cols[i]
+        saved = cols
     else:
-        out = np.einsum("fk,nkl->nfl", w_mat, cols, optimize=True)
+        if _whole_batch_gemms(n, f, k, l):
+            rows = im2col(x, (kh, kw), stride, padding, layout="nlk").reshape(n * l, k)
+            # (N*L, F), viewed as (N, F, L): channels-last in memory
+            out = np.matmul(rows, w_mat.T).reshape(n, l, f).transpose(0, 2, 1)
+        else:
+            out = np.einsum("fk,nkl->nfl", w_mat, im2col(x, (kh, kw), stride, padding), optimize=True)
+        saved = x
     out += bias.reshape(1, f, 1)
-    return out.reshape(n, f, out_h, out_w).astype(np.float32), cols
+    return out.reshape(n, f, out_h, out_w).astype(np.float32), saved
 
 
 def conv2d_backward(
     grad_out: np.ndarray,
-    cols: np.ndarray,
+    saved: np.ndarray,
     x_shape: Tuple[int, int, int, int],
     weight: np.ndarray,
     stride: int = 1,
@@ -206,35 +293,47 @@ def conv2d_backward(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backward pass of :func:`conv2d_forward`.
 
-    Returns ``(grad_input, grad_weight, grad_bias)``; with
-    ``with_param_grads=False`` the parameter gradients are skipped (returned
-    as ``None``) -- the attack-facing input-gradient path never reads them.
-    ``batch_invariant=False`` (training) keeps the fused whole-batch einsum
-    for the column gradient.
+    ``saved`` is the forward pass's second result (the columns, or the input
+    for ``batch_invariant=False``).  Returns ``(grad_input, grad_weight,
+    grad_bias)``; with ``with_param_grads=False`` the parameter gradients are
+    skipped (returned as ``None``) -- the attack-facing input-gradient path
+    never reads them.  Training passes issue the whole-batch GEMMs
+    ``(cols(K, N*L) @ g(N*L, F)).T`` and ``g(N*L, F) @ W``, whose
+    ``(N, K, L)``-viewed result :func:`col2im` reads in place.
     """
     n, f, out_h, out_w = grad_out.shape
     _, _, kh, kw = weight.shape
     grad_mat = grad_out.reshape(n, f, out_h * out_w)  # (N, F, L)
     w_mat = weight.reshape(f, -1)  # (F, K)
+    k, l = w_mat.shape[1], out_h * out_w
 
-    if with_param_grads:
-        # parameter gradients reduce over the batch (training-only; no batch
-        # invariance required) and keep the fused einsum path
-        grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True).reshape(
-            weight.shape
-        )
-        grad_bias = grad_out.sum(axis=(0, 2, 3))
-    else:
-        grad_weight = grad_bias = None
+    grad_weight = grad_bias = None
     if batch_invariant:
+        cols = saved
+        if with_param_grads:
+            # parameter gradients reduce over the batch (training-only; no
+            # batch invariance required) and keep the fused einsum path
+            grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
         # the input gradient feeds the attacks' BPDA path: per-example GEMMs
         # of constant shape (K, F) x (F, L), batch-invariant like the forward
         grad_cols = np.empty_like(cols)
         w_t = np.ascontiguousarray(w_mat.T)
         for i in range(len(grad_mat)):
             grad_cols[i] = w_t @ grad_mat[i]
+    elif _whole_batch_gemms(n, f, k, l):
+        g_rows = grad_mat.transpose(0, 2, 1).reshape(n * l, f)
+        if with_param_grads:
+            cols = im2col(saved, (kh, kw), stride, padding, layout="knl").reshape(k, n * l)
+            grad_weight = np.matmul(cols, g_rows).T
+        grad_cols = np.matmul(g_rows, w_mat).reshape(n, l, k).transpose(0, 2, 1)
     else:
+        cols = im2col(saved, (kh, kw), stride, padding)
+        if with_param_grads:
+            grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
         grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
+    if with_param_grads:
+        grad_weight = grad_weight.reshape(weight.shape)
+        grad_bias = grad_out.sum(axis=(0, 2, 3))
     grad_input = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
     return (
         grad_input.astype(np.float32),
@@ -244,15 +343,33 @@ def conv2d_backward(
 
 
 # -------------------------------------------------------------------- pooling
+def _native_pool(kernel: int, stride: int):
+    """The compiled kernels when they serve this pool (2x2, stride 2), else ``None``."""
+    return native.BACKEND.kernels() if (kernel, stride) == (2, 2) else None
+
+
 def maxpool2d_forward(
     x: np.ndarray, kernel: int = 2, stride: int = 2
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Max pooling forward pass; returns ``(output, argmax_indices)``."""
+    """Max pooling forward pass; returns ``(output, argmax_indices)``.
+
+    ``argmax_indices`` is ``(N*C, out_h*out_w)``: each window's first
+    maximum (its first NaN, if any), as ``np.argmax`` picks it.
+    """
+    kernels = _native_pool(kernel, stride)
+    pooled = None if kernels is None else kernels.maxpool2x2_forward(x)
+    return pooled if pooled is not None else _maxpool2d_forward_numpy(x, kernel, stride)
+
+
+def _maxpool2d_forward_numpy(
+    x: np.ndarray, kernel: int, stride: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The numpy :func:`maxpool2d_forward`: fallback and parity oracle."""
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kernel, stride, 0)
     out_w = conv_output_size(w, kernel, stride, 0)
     # view patches via im2col over each channel independently
-    cols = im2col(x.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
+    cols = _im2col_numpy(x.reshape(n * c, 1, h, w), (kernel, kernel), stride, 0)
     cols = cols.reshape(n * c, kernel * kernel, out_h * out_w)
     argmax = cols.argmax(axis=1)  # (N*C, L)
     out = np.take_along_axis(cols, argmax[:, np.newaxis, :], axis=1).squeeze(1)
@@ -267,12 +384,27 @@ def maxpool2d_backward(
     stride: int = 2,
 ) -> np.ndarray:
     """Backward pass of :func:`maxpool2d_forward`."""
+    kernels = _native_pool(kernel, stride)
+    grad_input = None if kernels is None else kernels.maxpool2x2_backward(grad_out, argmax, x_shape)
+    if grad_input is None:
+        grad_input = _maxpool2d_backward_numpy(grad_out, argmax, x_shape, kernel, stride)
+    return grad_input
+
+
+def _maxpool2d_backward_numpy(
+    grad_out: np.ndarray,
+    argmax: np.ndarray,
+    x_shape: Tuple[int, int, int, int],
+    kernel: int,
+    stride: int,
+) -> np.ndarray:
+    """The numpy :func:`maxpool2d_backward`: fallback and parity oracle."""
     n, c, h, w = x_shape
     _, _, out_h, out_w = grad_out.shape
     grad_cols = np.zeros((n * c, kernel * kernel, out_h * out_w), dtype=np.float32)
     grad_flat = grad_out.reshape(n * c, out_h * out_w)
     np.put_along_axis(grad_cols, argmax[:, np.newaxis, :], grad_flat[:, np.newaxis, :], axis=1)
-    grad_input = col2im(grad_cols, (n * c, 1, h, w), (kernel, kernel), stride, 0)
+    grad_input = _col2im_numpy(grad_cols, (n * c, 1, h, w), (kernel, kernel), stride, 0)
     return grad_input.reshape(n, c, h, w).astype(np.float32)
 
 

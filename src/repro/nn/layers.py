@@ -153,7 +153,7 @@ class Conv2d(Module):
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, cols = F.conv2d_forward(
+        out, saved = F.conv2d_forward(
             x,
             self.weight.value,
             self.bias.value,
@@ -161,16 +161,16 @@ class Conv2d(Module):
             self.padding,
             batch_invariant=not self.training,
         )
-        self._cache = (cols, x.shape)
+        self._cache = (saved, x.shape)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cols, x_shape = self._cache
+        saved, x_shape = self._cache
         grad_in, grad_w, grad_b = F.conv2d_backward(
             grad_out,
-            cols,
+            saved,
             x_shape,
             self.weight.value,
             self.stride,

@@ -1,0 +1,570 @@
+"""Compiled data-movement kernels for the exact convolution and pooling paths.
+
+Training the exact and DQ baselines is mostly data movement: patch
+extraction (``im2col``), its scatter-add inverse (``col2im``) and the 2x2
+max-pool.  This module carries four small C kernels for that movement,
+compiled on first use with the system C compiler and loaded with
+:mod:`ctypes`:
+
+* ``repro_im2col`` -- patches of an ``(N, C, H, W)`` input of any strides
+  into a patch matrix of any strides (the ``(N, K, L)``, ``(N, L, K)`` and
+  ``(K, N, L)`` layouts of :func:`repro.nn.functional.im2col`);
+* ``repro_col2im`` -- the scatter-add of a patch matrix of any strides into a
+  zeroed padded image, adding each pixel's taps in ``col2im``'s ``(i, j)``
+  order, starting from ``+0.0``;
+* ``repro_maxpool2x2_forward`` / ``_backward`` -- 2x2/stride-2 max pooling
+  with ``np.argmax``'s first-max/first-NaN rule and the backward pass's
+  ``0.0 + g`` scatter.
+
+Every kernel moves or adds exactly what the numpy functions in
+:mod:`repro.nn.functional` do, in the same order, so results are
+bit-identical to them (``tests/test_native.py`` proves it byte for byte).
+The build uses ``-O3 -fPIC -shared -ffp-contract=off``: no FMA contraction,
+no fast-math and no ``-march=native``, so the library does not depend on the
+build machine's vector extensions for its numerics.
+
+Build and cache: the library lives in ``$REPRO_DA_CACHE/native/`` (default
+``~/.cache/repro-da/native``) under a name that digests the C source, the
+compiler flags and the compiler's version, so an edited kernel or a new
+compiler builds a fresh library while the old one stays valid for whoever
+still uses it.  The build runs under a :class:`~repro.parallel.locks.FileLock`
+and publishes through :func:`~repro.parallel.locks.atomic_path`: processes
+racing for a cold cache compile once and all load the same file.  A
+published library that fails to load is deleted and rebuilt once.
+
+Fallback: with no ``cc`` on ``PATH``, a failed build or load, or the
+``kernel.build_fail`` fault point firing at key ``native:<DIGEST>``, the
+process warns once, counts ``NATIVE_STATS.fallbacks`` and keeps the numpy
+functions -- the same bytes, only slower.  The process resolves the backend
+once (:data:`BACKEND`); the parallel engine resolves it before it forks a
+pool, so workers inherit the loaded library (or the fallback decision).
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import threading
+import warnings
+from pathlib import Path
+from time import perf_counter
+from typing import Optional, Tuple
+
+import numpy as np
+
+from repro.counters import ProcessCounters
+
+SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+typedef ptrdiff_t idx;
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Output indices o in [*lo, *hi) whose tap o*stride + t - pad lies in
+   [0, size): the rest of the range reads zero padding. */
+static void valid_range(idx out, idx size, idx stride, idx t, idx pad, idx *lo, idx *hi)
+{
+    idx a = pad - t;
+    idx b = size - 1 + pad - t;
+    idx l = a > 0 ? (a + stride - 1) / stride : 0;
+    idx h = b >= 0 ? b / stride + 1 : 0;
+    if (h > out) h = out;
+    if (l > h) l = h;
+    *lo = l;
+    *hi = h;
+}
+
+/* dst[j*dld + i] = src[i*sld + j] for a rows x cols matrix, in 64 x 16
+   blocks of 4x4 register tiles where SSE2 exists: moves only, bits kept. */
+static void transpose(const float *restrict src, idx rows, idx cols, idx sld,
+                      float *restrict dst, idx dld)
+{
+    idx i, j, i0, i1, j0, j1;
+    for (i0 = 0; i0 < rows; i0 += 64) {
+        i1 = i0 + 64 < rows ? i0 + 64 : rows;
+        for (j0 = 0; j0 < cols; j0 += 16) {
+            j1 = j0 + 16 < cols ? j0 + 16 : cols;
+            i = i0;
+#if defined(__SSE2__)
+            for (; i + 4 <= i1; i += 4) {
+                for (j = j0; j + 4 <= j1; j += 4) {
+                    __m128 r0 = _mm_loadu_ps(src + i * sld + j);
+                    __m128 r1 = _mm_loadu_ps(src + (i + 1) * sld + j);
+                    __m128 r2 = _mm_loadu_ps(src + (i + 2) * sld + j);
+                    __m128 r3 = _mm_loadu_ps(src + (i + 3) * sld + j);
+                    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+                    _mm_storeu_ps(dst + j * dld + i, r0);
+                    _mm_storeu_ps(dst + (j + 1) * dld + i, r1);
+                    _mm_storeu_ps(dst + (j + 2) * dld + i, r2);
+                    _mm_storeu_ps(dst + (j + 3) * dld + i, r3);
+                }
+                for (; j < j1; j++) {
+                    dst[j * dld + i] = src[i * sld + j];
+                    dst[j * dld + i + 1] = src[(i + 1) * sld + j];
+                    dst[j * dld + i + 2] = src[(i + 2) * sld + j];
+                    dst[j * dld + i + 3] = src[(i + 3) * sld + j];
+                }
+            }
+#endif
+            for (; i < i1; i++)
+                for (j = j0; j < j1; j++) dst[j * dld + i] = src[i * sld + j];
+        }
+    }
+}
+
+/* The taps of one C-contiguous (c, h, w) image: tap k's row of positions
+   goes to o[k*ok ...], positions contiguous; +0.0 outside the image. */
+INLINE void im2col_image(const float *restrict img, idx c, idx h, idx w, idx kh, idx kw,
+                         idx stride, idx pad, idx oh_n, idx ow_n, const idx *lo, const idx *hi,
+                         float *restrict o, idx ok)
+{
+    idx ci, i, j, oh, t, k = 0;
+    for (ci = 0; ci < c; ci++)
+        for (i = 0; i < kh; i++)
+            for (j = 0; j < kw; j++, k++)
+                for (oh = 0; oh < oh_n; oh++) {
+                    idx ih = oh * stride + i - pad;
+                    float *row = o + k * ok + oh * ow_n;
+                    const float *s;
+                    if (ih < 0 || ih >= h) {
+                        memset(row, 0, (size_t)ow_n * sizeof(float));
+                        continue;
+                    }
+                    s = img + (ci * h + ih) * w + lo[j] * stride + j - pad;
+                    for (t = 0; t < lo[j]; t++) row[t] = 0.0f;
+                    for (t = lo[j]; t < hi[j]; t++) row[t] = s[(t - lo[j]) * stride];
+                    for (t = hi[j]; t < ow_n; t++) row[t] = 0.0f;
+                }
+}
+
+/* Patch extraction.  x is (n, c, h, w) with element strides sn..sw; tap
+   k = (ci*kh + i)*kw + j of output position l = oh*ow_n + ow of image ni goes
+   to out[ni*on + k*ok + l*ol]; taps outside the image write +0.0.  Each
+   image is first made C-contiguous (a transpose for channels-last inputs),
+   its taps are written in rows of positions, and the (N, L, K) layout gets
+   them through a transpose.  Returns nonzero when out's strides are none of
+   the three layouts or scratch memory runs out (nothing useful written). */
+int repro_im2col(const float *restrict x, idx n, idx c, idx h, idx w,
+                 idx sn, idx sc, idx sh, idx sw, idx kh, idx kw, idx stride, idx pad,
+                 float *restrict out, idx on, idx ok, idx ol)
+{
+    idx oh_n = (h + 2 * pad - kh) / stride + 1;
+    idx ow_n = (w + 2 * pad - kw) / stride + 1;
+    idx l_n = oh_n * ow_n, k_n = c * kh * kw;
+    idx lo[kw], hi[kw], j, ni, ci, y, z;
+    int contiguous = sw == 1 && sh == w && sc == h * w;
+    int rows = ok == 1 && ol == k_n;
+    float *image = NULL, *cols = NULL;
+    if (ol != 1 && !rows) return 1;
+    if (!contiguous && !(image = malloc((size_t)(c * h * w) * sizeof(float)))) return 1;
+    if (rows && !(cols = malloc((size_t)(k_n * l_n) * sizeof(float)))) {
+        free(image);
+        return 1;
+    }
+    for (j = 0; j < kw; j++) valid_range(ow_n, w, stride, j, pad, &lo[j], &hi[j]);
+    for (ni = 0; ni < n; ni++) {
+        const float *img = x + ni * sn;
+        if (!contiguous) {
+            if (sc == 1 && sh == w * sw)
+                transpose(img, h * w, c, sw, image, h * w);
+            else
+                for (ci = 0; ci < c; ci++)
+                    for (y = 0; y < h; y++)
+                        for (z = 0; z < w; z++)
+                            image[(ci * h + y) * w + z] = img[ci * sc + y * sh + z * sw];
+            img = image;
+        }
+        if (rows) {
+            if (stride == 1)
+                im2col_image(img, c, h, w, kh, kw, 1, pad, oh_n, ow_n, lo, hi, cols, l_n);
+            else
+                im2col_image(img, c, h, w, kh, kw, stride, pad, oh_n, ow_n, lo, hi, cols, l_n);
+            transpose(cols, k_n, l_n, l_n, out + ni * on, k_n);
+        } else if (stride == 1) {
+            im2col_image(img, c, h, w, kh, kw, 1, pad, oh_n, ow_n, lo, hi, out + ni * on, ok);
+        } else {
+            im2col_image(img, c, h, w, kh, kw, stride, pad, oh_n, ow_n, lo, hi, out + ni * on, ok);
+        }
+    }
+    free(image);
+    free(cols);
+    return 0;
+}
+
+/* Adds one image's taps (tap k of position l at s[k*sk + l*sl]) into its
+   zeroed padded planes, tap by tap: every pixel gets its taps in (i, j)
+   order, as the numpy col2im adds them. */
+INLINE void col2im_image(const float *restrict s, idx sk, idx sl, float *restrict img,
+                         idx c, idx hp, idx wp, idx kh, idx kw, idx stride, idx oh_n, idx ow_n)
+{
+    idx ci, i, j, oh, ow, k = 0;
+    for (ci = 0; ci < c; ci++)
+        for (i = 0; i < kh; i++)
+            for (j = 0; j < kw; j++, k++)
+                for (oh = 0; oh < oh_n; oh++) {
+                    float *d = img + (ci * hp + oh * stride + i) * wp + j;
+                    const float *u = s + k * sk + oh * ow_n * sl;
+                    for (ow = 0; ow < ow_n; ow++) d[ow * stride] += u[ow * sl];
+                }
+}
+
+/* Scatter-add of a patch matrix (element strides sn, sk, sl over (n, K, L))
+   into the C-contiguous padded image dst (n, c, h + 2*pad, w + 2*pad), which
+   this zeroes first; each pixel sums its taps in (i, j) order from +0.0.  A
+   source in the (N, L, K) layout (the training GEMM's result) is transposed
+   image by image first, so the adds run along contiguous rows. */
+void repro_col2im(const float *restrict src, idx sn, idx sk, idx sl,
+                  idx n, idx c, idx h, idx w, idx kh, idx kw, idx stride, idx pad,
+                  float *restrict dst)
+{
+    idx hp = h + 2 * pad, wp = w + 2 * pad;
+    idx oh_n = (hp - kh) / stride + 1;
+    idx ow_n = (wp - kw) / stride + 1;
+    idx l_n = oh_n * ow_n, k_n = c * kh * kw, ni;
+    float *cols = NULL;
+    if (sk == 1 && sl == k_n && l_n > 1) cols = malloc((size_t)(k_n * l_n) * sizeof(float));
+    for (ni = 0; ni < n; ni++) {
+        float *img = dst + ni * c * hp * wp;
+        memset(img, 0, (size_t)(c * hp * wp) * sizeof(float));
+        if (cols) {
+            transpose(src + ni * sn, l_n, k_n, k_n, cols, l_n);
+            if (stride == 1)
+                col2im_image(cols, l_n, 1, img, c, hp, wp, kh, kw, 1, oh_n, ow_n);
+            else
+                col2im_image(cols, l_n, 1, img, c, hp, wp, kh, kw, stride, oh_n, ow_n);
+        } else if (sl == 1 && stride == 1) {
+            col2im_image(src + ni * sn, sk, 1, img, c, hp, wp, kh, kw, 1, oh_n, ow_n);
+        } else {
+            col2im_image(src + ni * sn, sk, sl, img, c, hp, wp, kh, kw, stride, oh_n, ow_n);
+        }
+    }
+    free(cols);
+}
+
+/* 2x2/stride-2 max pooling of x (n, c, h, w; element strides sn..sw) into
+   the C-contiguous out (n, c, oh, ow) and arg (n*c, oh*ow): window taps in
+   (0,0) (0,1) (1,0) (1,1) order, the first maximum wins and the first NaN
+   stops the scan -- np.argmax's rule. */
+void repro_maxpool2x2_forward(const float *restrict x, idx n, idx c, idx h, idx w,
+                              idx sn, idx sc, idx sh, idx sw,
+                              float *restrict out, int64_t *restrict arg)
+{
+    idx oh_n = (h - 2) / 2 + 1, ow_n = (w - 2) / 2 + 1;
+    idx ni, ci, oh, ow;
+    for (ni = 0; ni < n; ni++)
+        for (ci = 0; ci < c; ci++) {
+            const float *plane = x + ni * sn + ci * sc;
+            idx base = (ni * c + ci) * oh_n * ow_n;
+            for (oh = 0; oh < oh_n; oh++)
+                for (ow = 0; ow < ow_n; ow++) {
+                    const float *p = plane + 2 * oh * sh + 2 * ow * sw;
+                    const float tap[4] = {p[0], p[sw], p[sh], p[sh + sw]};
+                    float best = tap[0];
+                    int64_t at = 0, t;
+                    /* branch-free: a tap wins when it is not <= the best so
+                       far (so a NaN wins), unless the best is already NaN */
+                    for (t = 1; t < 4; t++) {
+                        int take = (best == best) & !(tap[t] <= best);
+                        best = take ? tap[t] : best;
+                        at = take ? t : at;
+                    }
+                    out[base + oh * ow_n + ow] = best;
+                    arg[base + oh * ow_n + ow] = at;
+                }
+        }
+}
+
+/* Backward of the 2x2/stride-2 max pool: dx (n, c, h, w), C-contiguous, is
+   zeroed and each window's argmax tap receives 0.0 + g.  Returns the number
+   of argmax entries outside [0, 4) (their taps are skipped). */
+idx repro_maxpool2x2_backward(const float *restrict g, idx gn, idx gc, idx gh, idx gw,
+                              const int64_t *restrict arg, idx n, idx c, idx h, idx w,
+                              float *restrict dx)
+{
+    idx oh_n = (h - 2) / 2 + 1, ow_n = (w - 2) / 2 + 1;
+    idx ni, ci, oh, ow, p, bad = 0;
+    for (ni = 0; ni < n; ni++)
+        for (ci = 0; ci < c; ci++) {
+            float *plane = dx + (ni * c + ci) * h * w;
+            const float *gp = g + ni * gn + ci * gc;
+            const int64_t *a = arg + (ni * c + ci) * oh_n * ow_n;
+            for (p = 0; p < h * w; p++) plane[p] = 0.0f;
+            for (oh = 0; oh < oh_n; oh++)
+                for (ow = 0; ow < ow_n; ow++) {
+                    int64_t t = a[oh * ow_n + ow];
+                    if (t < 0 || t > 3) {
+                        bad++;
+                        continue;
+                    }
+                    plane[(2 * oh + (t >> 1)) * w + 2 * ow + (t & 1)] = 0.0f + gp[oh * gh + ow * gw];
+                }
+        }
+    return bad;
+}
+"""
+
+#: compiler flags: no FMA contraction, no fast-math, no host-specific ISA
+CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: digest of the kernels' source and flags; the ``kernel.build_fail`` fault
+#: key is ``native:<DIGEST>`` (compiler-independent, so a chaos run's seeded
+#: schedule fires on every platform alike)
+DIGEST = hashlib.sha256("\0".join((SOURCE, *CFLAGS)).encode()).hexdigest()[:16]
+
+
+class NativeStats(ProcessCounters):
+    """Process-level native-kernel counters: compiles and numpy fallbacks."""
+
+    _FIELDS = ("builds", "fallbacks")
+
+
+#: process-wide native-kernel counters (``/metrics``, run telemetry)
+NATIVE_STATS = NativeStats()
+
+_IDX = ctypes.c_ssize_t
+_FLOATS = ctypes.POINTER(ctypes.c_float)
+_INT64S = ctypes.POINTER(ctypes.c_int64)
+
+_SIGNATURES = {
+    "repro_im2col": (ctypes.c_int, [_FLOATS] + [_IDX] * 12 + [_FLOATS] + [_IDX] * 3),
+    "repro_col2im": (None, [_FLOATS] + [_IDX] * 11 + [_FLOATS]),
+    "repro_maxpool2x2_forward": (None, [_FLOATS] + [_IDX] * 8 + [_FLOATS, _INT64S]),
+    "repro_maxpool2x2_backward": (_IDX, [_FLOATS] + [_IDX] * 4 + [_INT64S] + [_IDX] * 4 + [_FLOATS]),
+}
+
+
+class NativeUnavailable(RuntimeError):
+    """The kernels cannot be built or loaded here (no compiler, failed build)."""
+
+
+def default_directory() -> Path:
+    """``$REPRO_DA_CACHE/native`` (default ``~/.cache/repro-da/native``)."""
+    root = os.environ.get("REPRO_DA_CACHE", Path.home() / ".cache" / "repro-da")
+    return Path(root) / "native"
+
+
+def _compiler() -> Tuple[str, str]:
+    """``(path, version line)`` of the system ``cc``; raises when there is none."""
+    cc = shutil.which("cc")
+    if cc is None:
+        raise NativeUnavailable("no C compiler (cc) on PATH")
+    done = subprocess.run([cc, "--version"], capture_output=True, text=True, timeout=60)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise NativeUnavailable(f"{cc} --version failed")
+    return cc, lines[0]
+
+
+def library_path(directory: Path, compiler_version: str) -> Path:
+    """Where the library built by ``compiler_version`` lives in ``directory``."""
+    tag = hashlib.sha256(f"{DIGEST}\0{compiler_version}".encode()).hexdigest()[:16]
+    return Path(directory) / f"conv_pool-{tag}.so"
+
+
+def build_library(directory: Path, cc: str, compiler_version: str) -> Path:
+    """Compile the kernels into ``directory`` unless published; returns the path.
+
+    Racing processes serialise on a lock next to the library; the first
+    compiles and publishes atomically, the rest find the file and skip.
+    """
+    from repro.obs import TRACER
+    from repro.parallel.locks import FileLock, atomic_path
+
+    path = library_path(directory, compiler_version)
+    if path.exists():
+        return path
+    with FileLock(path.with_name(path.name + ".lock")):
+        if path.exists():
+            return path
+        with TRACER.span("native.build", cat="native", digest=DIGEST, compiler=compiler_version) as span:
+            start = perf_counter()
+            with atomic_path(path, suffix=".so") as tmp:
+                done = subprocess.run(
+                    [cc, *CFLAGS, "-x", "c", "-o", str(tmp), "-"],
+                    input=SOURCE,
+                    capture_output=True,
+                    text=True,
+                    timeout=300,
+                )
+                if done.returncode != 0:
+                    raise NativeUnavailable(f"{cc} failed: {done.stderr.strip()[:500]}")
+            span["seconds"] = round(perf_counter() - start, 4)
+        NATIVE_STATS.builds += 1
+    return path
+
+
+class Kernels:
+    """ctypes bindings of one loaded library.
+
+    Each method checks dtype, alignment, strides and geometry before any
+    pointer reaches C, and returns ``None`` (or ``False``) where its kernel
+    does not apply -- the caller then runs the numpy function instead.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self._lib = ctypes.CDLL(str(self.path))
+        for name, (restype, argtypes) in _SIGNATURES.items():
+            fn = getattr(self._lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+
+    @staticmethod
+    def _usable(*arrays: np.ndarray) -> bool:
+        """float32, aligned, element-multiple strides: what the kernels index."""
+        return all(
+            a.dtype == np.float32 and a.flags.aligned and all(s % 4 == 0 for s in a.strides)
+            for a in arrays
+        )
+
+    @staticmethod
+    def _strides(a: np.ndarray) -> Tuple[int, ...]:
+        return tuple(s // a.itemsize for s in a.strides)
+
+    @staticmethod
+    def _floats(a: np.ndarray):
+        return a.ctypes.data_as(_FLOATS)
+
+    def im2col(
+        self, x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int, out: np.ndarray
+    ) -> bool:
+        """Fill ``out`` with the patches of ``x``; False where the kernel does not apply.
+
+        ``out`` is an ``(N, K, L)``-indexed view of a fresh C-contiguous array
+        in one of the layouts of :data:`repro.nn.functional.IM2COL_LAYOUTS`.
+        """
+        n, c, h, w = x.shape
+        kh, kw = kernel
+        if not self._usable(x, out) or stride < 1 or padding < 0:
+            return False
+        l = ((h + 2 * padding - kh) // stride + 1) * ((w + 2 * padding - kw) // stride + 1)
+        if out.shape != (n, c * kh * kw, l) or min(kh, kw, l) < 1:
+            return False
+        failed = self._lib.repro_im2col(
+            self._floats(x), n, c, h, w, *self._strides(x), kh, kw, stride, padding,
+            self._floats(out), *self._strides(out),
+        )
+        return not failed
+
+    def col2im(
+        self, cols: np.ndarray, input_shape, kernel: Tuple[int, int], stride: int, padding: int
+    ) -> Optional[np.ndarray]:
+        """The zeroed padded image with ``cols`` (``(N, K, L)``, any strides) added in."""
+        n, c, h, w = input_shape
+        kh, kw = kernel
+        out_h = (h + 2 * padding - kh) // stride + 1 if stride >= 1 else 0
+        out_w = (w + 2 * padding - kw) // stride + 1 if stride >= 1 else 0
+        if (
+            not self._usable(cols)
+            or padding < 0
+            or min(kh, kw, out_h, out_w) < 1
+            or cols.shape != (n, c * kh * kw, out_h * out_w)
+        ):
+            return None
+        padded = np.empty((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+        self._lib.repro_col2im(
+            self._floats(cols), *self._strides(cols), n, c, h, w, kh, kw, stride, padding,
+            self._floats(padded),
+        )
+        return padded
+
+    def maxpool2x2_forward(self, x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(output, argmax)`` of the 2x2/stride-2 max pool of ``x``."""
+        n, c, h, w = x.shape
+        if not self._usable(x) or h < 2 or w < 2:
+            return None
+        out = np.empty((n, c, (h - 2) // 2 + 1, (w - 2) // 2 + 1), dtype=np.float32)
+        argmax = np.empty((n * c, out.shape[2] * out.shape[3]), dtype=np.int64)
+        self._lib.repro_maxpool2x2_forward(
+            self._floats(x), n, c, h, w, *self._strides(x),
+            self._floats(out), argmax.ctypes.data_as(_INT64S),
+        )
+        return out, argmax
+
+    def maxpool2x2_backward(
+        self, grad_out: np.ndarray, argmax: np.ndarray, x_shape
+    ) -> Optional[np.ndarray]:
+        """The input gradient; ``None`` for any argmax index outside the window too."""
+        n, c, h, w = x_shape
+        if h < 2 or w < 2:
+            return None
+        pooled = (n, c, (h - 2) // 2 + 1, (w - 2) // 2 + 1)
+        if (
+            not self._usable(grad_out)
+            or grad_out.shape != pooled
+            or argmax.dtype != np.int64
+            or not argmax.flags.c_contiguous
+            or argmax.shape != (n * c, pooled[2] * pooled[3])
+        ):
+            return None
+        grad = np.empty((n, c, h, w), dtype=np.float32)
+        bad = self._lib.repro_maxpool2x2_backward(
+            self._floats(grad_out), *self._strides(grad_out),
+            argmax.ctypes.data_as(_INT64S), n, c, h, w, self._floats(grad),
+        )
+        return None if bad else grad
+
+
+class NativeBackend:
+    """Resolves, once per process, whether the kernels are available.
+
+    :meth:`kernels` builds (or finds) the library on its first call and
+    returns the loaded :class:`Kernels`, or ``None`` -- the numpy fallback
+    -- after warning once and counting ``NATIVE_STATS.fallbacks``.
+    ``directory`` defaults to :func:`default_directory` at that first call.
+    """
+
+    def __init__(self, directory: Optional[Path] = None):
+        self.directory = directory
+        self._lock = threading.Lock()
+        self._resolved = False
+        self._kernels: Optional[Kernels] = None
+
+    def kernels(self) -> Optional[Kernels]:
+        if self._resolved:
+            return self._kernels
+        with self._lock:
+            if not self._resolved:
+                self._kernels = self._resolve()
+                self._resolved = True
+        return self._kernels
+
+    def _resolve(self) -> Optional[Kernels]:
+        from repro.faults import FAULTS, InjectedFault
+
+        directory = Path(self.directory) if self.directory is not None else default_directory()
+        try:
+            FAULTS.maybe_raise("kernel.build_fail", f"native:{DIGEST}")
+            if np.dtype(np.intp) != np.dtype(np.int64):
+                raise NativeUnavailable("argmax indices are not 64-bit on this platform")
+            cc, version = _compiler()
+            path = build_library(directory, cc, version)
+            try:
+                kernels = Kernels(path)
+            except OSError:
+                # a corrupt or foreign file under our name: replace it once
+                path.unlink(missing_ok=True)
+                kernels = Kernels(build_library(directory, cc, version))
+        except (InjectedFault, NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
+            NATIVE_STATS.fallbacks += 1
+            warnings.warn(
+                f"native conv/pool kernels unavailable ({exc}); using the numpy path",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        return kernels
+
+
+#: the process's backend, consulted by :mod:`repro.nn.functional`
+BACKEND = NativeBackend()

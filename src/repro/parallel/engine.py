@@ -45,7 +45,10 @@ LeNet) -- so the phase costs about its longest chain instead of the serial
 sum, and the warm-up then only loads.  A unit the pool fails to publish (a
 crashed worker -- ``worker.crash`` at key ``zoo:<unit>`` -- or an error) is
 counted in ``faults["zoo_fallbacks"]`` and trained by the warm-up in the
-parent exactly as on the serial path, with the same bits.
+parent exactly as on the serial path, with the same bits.  Before either
+pool forks, the parent builds or loads the native conv/pool kernels
+(:mod:`repro.nn.native`), so every worker inherits the loaded library, or
+the numpy fallback decision, instead of resolving its own.
 
 Start-method caveat: ``fork`` also carries *runtime* registry registrations
 (custom zoo entries, specs registered from a script) into the workers.  On
@@ -71,6 +74,7 @@ from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
 from repro.experiments.zoo import TRAINED_UNITS, TrainingUnit, zoo_units
 from repro.faults import FAULTS, POOL_RESPAWN_LIMIT, backoff_seconds, shard_retries, shard_timeout
+from repro.nn import native
 from repro.obs import TRACER
 from repro.parallel.plan import CellOutcome, CellTask
 from repro.parallel.telemetry import DIGEST_WIDTH
@@ -375,6 +379,7 @@ class ParallelEngine:
         self, tasks: List[CellTask], leases: Dict[str, Lease], finish: OnCell
     ) -> None:
         runner = self.runner
+        native.BACKEND.kernels()  # build or load once here, before any pool forks
         self._train_zoo(tasks)
         for task in tasks:  # resolve shared models once, before the fork
             get_cell_kind(task.kind).warm(runner, task.payload)

@@ -24,6 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
+from repro.nn.native import NATIVE_STATS
 
 #: digest prefix length used everywhere telemetry abbreviates cell digests
 #: (progress lines, event dicts, span labels)
@@ -85,6 +86,9 @@ class RunTelemetry:
     #: remote artifact-tier counters at run start; :meth:`remote_totals`
     #: reports the delta (all zeros on a local-only run)
     remote_mark: Dict[str, int] = field(default_factory=_remote_mark)
+    #: native-kernel counters at run start; :meth:`fold_native` reports a
+    #: numpy fallback resolved during the run as ``faults["native_fallbacks"]``
+    native_mark: Dict[str, int] = field(default_factory=NATIVE_STATS.snapshot)
     #: summed counter deltas returned by pool-worker shards
     worker_kernels: Dict[str, int] = field(default_factory=dict)
     worker_queries: Dict[str, int] = field(default_factory=dict)
@@ -104,8 +108,10 @@ class RunTelemetry:
     #: worker crashes, pool respawns, serial degradation, lease re-acquires,
     #: manifest-resumed cells, remote-tier degradation (calls that fell
     #: back to local compute / foreign artifacts refused by the trust rules),
-    #: and zoo units the training pool failed to publish (trained in the
-    #: parent instead).  Zero across the board on a healthy run.
+    #: zoo units the training pool failed to publish (trained in the parent
+    #: instead), and native conv/pool kernels this process could not build or
+    #: load (the numpy path ran instead).  Zero across the board on a healthy
+    #: run.
     faults: Dict[str, int] = field(
         default_factory=lambda: {
             "shard_retries": 0,
@@ -118,6 +124,7 @@ class RunTelemetry:
             "remote_fallbacks": 0,
             "remote_rejects": 0,
             "zoo_fallbacks": 0,
+            "native_fallbacks": 0,
         }
     )
 
@@ -128,6 +135,14 @@ class RunTelemetry:
     def count_fault(self, name: str, n: int = 1) -> None:
         """Bump one fault-tolerance counter (e.g. ``shard_retries``)."""
         self.faults[name] = self.faults.get(name, 0) + n
+
+    def fold_native(self) -> None:
+        """Count the native-kernel fallbacks this process resolved since run start.
+
+        The process resolves its kernels once (before a pool forks, or at the
+        first convolution), so pool workers never add fallbacks of their own.
+        """
+        self.count_fault("native_fallbacks", NATIVE_STATS.delta(self.native_mark)["fallbacks"])
 
     def fold_worker(self, stats: Optional[Dict[str, Any]]) -> None:
         """Merge one worker shard's counter deltas into the run totals."""

@@ -168,9 +168,11 @@ _MODEL_CACHE_LOCK = threading.RLock()
 
 
 def clear_model_caches() -> None:
-    """Drop the in-process model memos (tests / memory pressure)."""
+    """Drop the in-process model and dataset-split memos (tests / memory pressure)."""
+    from repro.experiments.zoo import clear_dataset_splits
     from repro.pipeline.cells import _SELECTION_CACHE, _WARMED
 
+    clear_dataset_splits()
     _ZOO_CACHE.clear()
     _VARIANT_CACHE.clear()
     _SELECTION_CACHE.clear()  # victim selections are tied to the memoised models
@@ -322,6 +324,7 @@ class Runner:
                         f"of {len(plan.tasks)} cells"
                     )
                 outcomes = self._compute_cells(plan)
+                self.telemetry.fold_native()
                 # cell compute is shared across the run's experiments, so
                 # kernel, query and zoo-training activity cannot be attributed
                 # per experiment: every result carries the same run-scoped

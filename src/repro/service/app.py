@@ -423,6 +423,14 @@ class Service:
                 for name, value in sorted(KERNEL_STATS.snapshot().items())
             ],
         )
+        from repro.nn.native import NATIVE_STATS
+
+        out.counter(
+            "repro_native_fallbacks_total",
+            "Times this process could not build or load the native conv/pool "
+            "kernels and kept the numpy path (0 or 1: resolved once per process).",
+            NATIVE_STATS.fallbacks,
+        )
         out.counter(
             "repro_attack_query_events_total",
             "Attack query counters since process start (service process only).",

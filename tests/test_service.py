@@ -313,6 +313,7 @@ def test_metrics_prometheus_exposition(service):
     assert samples['repro_jobs{state="succeeded"}'] == 0
     assert samples['repro_cells_total{outcome="computed"}'] == 0
     assert samples['repro_http_requests_total{method="GET",status="200"}'] >= 1
+    assert samples["repro_native_fallbacks_total"] >= 0
     # histogram invariants: buckets are cumulative, +Inf equals the count
     assert samples["repro_http_request_seconds_count"] >= 1
     assert (

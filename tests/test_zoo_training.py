@@ -221,3 +221,29 @@ def test_dependent_units_wait_for_their_recipe_dependencies():
     dq = zoo_units("dq_objects", fast=False)
     assert [u.name for u in dq] == ["dq_full_objects_4b", "dq_weight_objects_4b"]
     assert all(u.after == () for u in dq)
+
+
+def test_dataset_splits_are_memoised_read_only_and_cleared(monkeypatch):
+    calls = []
+    real = zoo.generate_digits
+
+    def counting(**config):
+        calls.append(config)
+        return real(**{**config, "n_samples": 40})
+
+    monkeypatch.setattr(zoo, "generate_digits", counting)
+    clear_model_caches()
+    try:
+        split = zoo.load_digits_split(fast=True)
+        assert zoo.load_digits_split(fast=True) is split
+        assert len(calls) == 1  # the second call generated nothing
+        for array in (split.train.images, split.train.labels, split.test.images, split.test.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        zoo.load_digits_split(0.5, fast=True)  # another test fraction is another split
+        assert len(calls) == 2
+        clear_model_caches()
+        assert zoo.load_digits_split(fast=True) is not split
+        assert len(calls) == 3
+    finally:
+        clear_model_caches()
