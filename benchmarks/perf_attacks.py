@@ -47,14 +47,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from attack_reference import reference_perturb  # noqa: E402
-from common import check_regression, load_baseline  # noqa: E402
+from common import check_regression, load_baseline, provenance  # noqa: E402
 from repro.attacks.base import Classifier  # noqa: E402
 from repro.attacks.registry import create_attack  # noqa: E402
 from repro.core.evaluation import select_correctly_classified  # noqa: E402
 from repro.experiments.zoo import lenet_digits  # noqa: E402
 from repro.nn.losses import CrossEntropyLoss  # noqa: E402
 from repro.nn.models import model_variant  # noqa: E402
-from repro.parallel.sharding import resolve_jobs  # noqa: E402
 
 BATCH = 8  # the shard/batch size the pipeline runs attacks at
 SEED = 20260729
@@ -259,7 +258,7 @@ def main(argv=None) -> int:
         "benchmark": "batched_attack_engine",
         "batch_size": BATCH,
         "smoke": bool(args.smoke),
-        "cpu_count": resolve_jobs("auto"),
+        **provenance(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "baseline": "pre-PR per-example loops (tests/attack_reference.py) on the "

@@ -1,4 +1,4 @@
-"""Kernel microbenchmarks: fused approximate GEMM, and native conv/pool data movement.
+"""Kernel microbenchmarks: the compiled approximate GEMM, and native conv/pool data movement.
 
 Times the hot loop of the emulated Ax-FPM forward pass -- the contraction
 ``out[n,f,l] = sum_k M(cols[n,k,l], w[f,k])`` -- two ways, on the conv and
@@ -7,8 +7,10 @@ dense shapes of the paper's LeNet/AlexNet-style models:
 * **old**: the historical implementation (decompose both operands per call,
   broadcast LUT fancy-indexing over the materialised ``(N, F, K, L)`` tensor,
   ``np.ldexp`` + ``np.where`` recomposition, ``sum(axis=2)``);
-* **fused**: ``Multiplier.make_gemm_kernel()`` -- precomposed signed-product
-  tables, cached weight decomposition, K-blocked in-place accumulation.
+* **fused**: ``Multiplier.make_gemm_kernel()`` -- the native library's
+  compiled loop over the precomposed signed-product table, with the weight
+  decomposition cached (without a C compiler this is the reference kernel,
+  and the ratios collapse to ~1x).
 
 Every conv-shape comparison asserts **byte-identical** outputs (the dense
 shapes assert byte-identity against the kernel contract -- the historical

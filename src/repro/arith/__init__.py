@@ -15,9 +15,9 @@ gate level up:
   Bfloat16 multiplier.
 * :mod:`repro.arith.error_metrics` -- MRED / NMED and noise-profile utilities
   used by Figures 3, 13, 15 and Table 8.
-* :mod:`repro.arith.kernels` -- fused approximate-GEMM kernels: precomposed
-  signed-significand product tables, cached weight decompositions and
-  K-blocked in-place accumulation behind
+* :mod:`repro.arith.kernels` -- approximate-GEMM kernels: the reference
+  kernel and the compiled LUT kernel (precomposed signed-significand product
+  tables, cached weight decompositions, one native call) behind
   :meth:`~repro.arith.fpm.Multiplier.make_gemm_kernel`, the engine of the
   approximate layers' forward passes.
 """

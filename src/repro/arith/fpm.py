@@ -185,12 +185,17 @@ class ApproxFPM(Multiplier):
         return result.astype(np.float32)
 
     def make_gemm_kernel(self):
-        """The fused LUT-driven GEMM engine when this design is tabulated.
+        """The compiled LUT-driven GEMM engine when this design is tabulated.
 
         Falls back to the generic multiply-wrapping kernel for widths beyond
-        :data:`LUT_MAX_FRAC_BITS` (gate-level simulation stays authoritative).
+        :data:`LUT_MAX_FRAC_BITS` (gate-level simulation stays authoritative)
+        and where the native library is unavailable (no ``cc``, a failed
+        build, or ``kernel.build_fail`` at ``native:<digest>``): the same
+        bytes, slower.
         """
-        if not self.use_lut:
+        from repro.nn import native
+
+        if not self.use_lut or native.BACKEND.kernels() is None:
             return super().make_gemm_kernel()
         from repro.arith.kernels import FusedLutGemmKernel
         from repro.obs.trace import TRACER

@@ -1,62 +1,50 @@
-"""Fused approximate-GEMM kernels: the hot loop of the emulated Ax-FPM datapath.
+"""Approximate-GEMM kernels: the hot loop of the emulated Ax-FPM datapath.
 
 Every attack experiment funnels through one computation: the contraction
 
     ``out[n, f, l] = sum_k  M(cols[n, k, l], weight[f, k])``
 
 where ``M`` is a hardware multiplier model (:class:`repro.arith.fpm.Multiplier`)
-and the sum is the layer's exact accumulation.  The historical path decomposed
-both float32 operands on every call, gathered the mantissa LUT through
-broadcast int64 fancy-indexing over a materialised ``(chunk, F, K, L)`` tensor
-and re-composed with ``np.ldexp`` plus two ``np.where`` passes -- the same
-"emulation is the bottleneck" problem that limited the paper's authors to
-multi-day white-box runs.
+and the sum is the layer's exact accumulation.  Two implementations exist:
 
-This module recasts that datapath as a handful of dense table-driven kernels:
-
-* a **signed-significand product table** is precomposed once per multiplier
-  design: sign and significand are packed into a single operand code
-  (:func:`repro.arith.float_format.operand_codes`) so that *one* float32
-  gather returns the already-signed mantissa product, pre-scaled by
-  ``2**-2*frac_bits``;
-* **exponents** are applied through a small power-of-two multiply table
-  instead of ``np.ldexp`` -- one int32 add and one gather (or, when the weight
-  matrix is small enough, the weight's exponent is baked into a per-layer
-  product table and only the activation's power of two remains);
-* the **weight operand decomposition is cached per kernel**, keyed by the
-  layer parameter's version counter (:class:`repro.nn.layers.Parameter`), so
-  the constant operand of a conv/dense layer is decomposed once per attack
-  run instead of once per forward chunk;
-* accumulation is **K-blocked and in place**: flat int32 indices are formed
-  with ``np.add(..., out=)`` into reused buffers, gathered with ``np.take``
-  and folded into a preallocated ``(chunk, F, L)`` output -- the full
-  ``(chunk, F, K, L)`` int64/float intermediates of the old path are never
-  materialised.
+* :class:`FallbackGemmKernel`, the reference: ``Multiplier.multiply`` over
+  the broadcast ``(N, F, K, L)`` operands and a float32 fold over K.  Every
+  multiplier supports it, and every test compares against it;
+* :class:`FusedLutGemmKernel`, for LUT-tabulated designs: one call into the
+  native library of :mod:`repro.nn.native`.  A **signed-significand product
+  table** is precomposed once per design: sign and significand pack into one
+  operand code (:func:`repro.arith.float_format.operand_codes`), so one
+  lookup returns the already-signed mantissa product, pre-scaled by
+  ``2**-2*frac_bits``.  The C loop decodes every activation into its code
+  and exponent, and multiplies each table entry by the power of two of the
+  exponent sum.  The **weight operand decomposition is cached per kernel**,
+  keyed by the layer parameter's version counter
+  (:class:`repro.nn.layers.Parameter`), so a layer's constant operand is
+  decomposed once per attack run instead of once per forward chunk.
 
 Bit-exactness contract
 ----------------------
 Kernels compute a **strict identity-seeded left fold** over ``k``:
 ``((0.0 + p[0]) + p[1]) + ...`` in float32, which is exactly what
 ``products.sum(axis=2, dtype=float32)`` performs over a strided reduction
-axis (the pre-existing convolution path), signed zeros included.  The fused LUT kernel is bit-for-bit
-identical to :class:`FallbackGemmKernel` (decompose + gather + ``ldexp``
-+ left fold) for every input: the product table entries are exact by
-construction (integers below ``2**24`` scaled by powers of two) and the final
-scaling multiply is a single correctly-rounded float32 operation, so it agrees
-with ``np.ldexp`` even for results that overflow, underflow or denormalise.
-Inputs whose exponents could fall outside the provably-safe window (non-finite
-activations, sums beyond float32's scaling range) route the affected call
-through the reference path -- parity is never sacrificed for speed.
+axis (the pre-existing convolution path), signed zeros included.  The fused
+kernel is bit-for-bit identical to :class:`FallbackGemmKernel` for every
+input: the product table entries are exact by construction (integers below
+``2**24`` scaled by powers of two) and the final scaling multiply is a single
+correctly-rounded float32 operation, so it agrees with ``np.ldexp`` even for
+results that overflow, underflow or denormalise.  Calls whose exponent sums
+could fall outside the provably-safe window (sums beyond float32's scaling
+range) run the reference kernel -- parity is never sacrificed for speed.
 
 Obtain kernels through the capability API
 :meth:`repro.arith.fpm.Multiplier.make_gemm_kernel`; multipliers without a
-fused implementation (``frac_bits=23`` gate-level simulation, bfloat16,
-custom models) transparently receive the generic fallback.
+LUT (``frac_bits=23`` gate-level simulation, bfloat16, custom models), and
+every multiplier on a machine without the native library, receive the
+reference kernel.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -70,8 +58,8 @@ from repro.obs.trace import TRACER
 #: table composition); cells whose payloads execute through approximate
 #: convolutions declare a ``"kernels"`` dependency and re-key on this value
 #: (see :mod:`repro.pipeline.fingerprints` and ``docs/caching.md``).
-#: Version 1: the fused engine as introduced in PR 3 -- strict left-fold
-#: accumulation, signed-significand product tables, baked weight tables.
+#: Version 1: strict left-fold accumulation over signed-significand product
+#: tables (the compiled loop produces the same bits).
 KERNEL_NUMERICS_VERSION = 1
 
 #: bias applied to exponent sums when indexing the power-of-two table; large
@@ -84,30 +72,6 @@ POW2_BIAS = 300
 #: down to the smallest subnormal power)
 _SAFE_EXP_MIN = -149
 _SAFE_EXP_MAX = 127
-
-#: upper bound, in bytes, for baking a layer's weight operands into a
-#: per-layer ``(K, side, F)`` product table; larger weight matrices use the
-#: shared two-gather path instead (override: ``REPRO_KERNEL_BAKE_BUDGET``).
-#: The hot loop only ever touches one ``(side, F)`` slice per k, so the
-#: budget bounds resident memory, not the working set
-DEFAULT_BAKE_BUDGET = 32 << 20
-
-#: K-extent of one accumulation block; also bounds the reused gather buffers
-#: at roughly ``chunk * F * K_BLOCK * L`` elements per dtype
-DEFAULT_K_BLOCK = 16
-
-#: soft cap on gather-buffer elements; the K-block shrinks to respect it so
-#: huge spatial extents do not blow the cache the blocking exists to protect
-_BLOCK_ELEMENT_TARGET = 2_000_000
-
-
-def _bake_budget() -> int:
-    raw = os.environ.get("REPRO_KERNEL_BAKE_BUDGET", "")
-    try:
-        return int(raw) if raw else DEFAULT_BAKE_BUDGET
-    except ValueError:
-        return DEFAULT_BAKE_BUDGET
-
 
 # --------------------------------------------------------------------- stats
 class KernelStats(ProcessCounters):
@@ -126,7 +90,6 @@ class KernelStats(ProcessCounters):
         "fallback_macs",
         "weight_cache_hits",
         "weight_cache_misses",
-        "weight_tables_baked",
     )
 
 
@@ -218,9 +181,7 @@ class GemmKernel:
 
     ``weight_version`` is an opaque token identifying the weight *content*
     (pass :attr:`repro.nn.layers.Parameter.version`); while it is unchanged
-    the kernel may reuse any per-weight precomputation.  ``weight_key``
-    additionally distinguishes slices of the same parameter (out-feature
-    chunks of a dense layer).
+    the kernel may reuse any per-weight precomputation.
     """
 
     #: whether this kernel uses the fused LUT datapath
@@ -234,7 +195,6 @@ class GemmKernel:
         cols: np.ndarray,
         weight: np.ndarray,
         weight_version: Optional[Any] = None,
-        weight_key: Optional[Any] = None,
     ) -> np.ndarray:
         raise NotImplementedError
 
@@ -272,7 +232,6 @@ class FallbackGemmKernel(GemmKernel):
         cols: np.ndarray,
         weight: np.ndarray,
         weight_version: Optional[Any] = None,
-        weight_key: Optional[Any] = None,
     ) -> np.ndarray:
         KERNEL_STATS.fallback_calls += 1
         n, k, l = cols.shape
@@ -285,286 +244,100 @@ class FallbackGemmKernel(GemmKernel):
         return _left_fold_k(products)
 
 
-class _PreparedWeights:
-    """Cached per-weight precomputation of :class:`FusedLutGemmKernel`."""
-
-    __slots__ = (
-        "shape",
-        "codes",
-        "codes_t",
-        "exp_biased",
-        "exp_biased_t",
-        "exp_min",
-        "exp_max",
-        "baked",
-    )
-
-    def __init__(self, shape, codes, codes_t, exp_biased, exp_biased_t, exp_min, exp_max, baked):
-        self.shape = shape
-        self.codes = codes  #: (F, K) int32 -- operand codes (shared path)
-        self.codes_t = codes_t  #: (K, F) int32, contiguous (shared path, L == 1)
-        self.exp_biased = exp_biased  #: (F, K) int32 -- exponent + POW2_BIAS
-        self.exp_biased_t = exp_biased_t  #: (K, F) int32, contiguous
-        self.exp_min = exp_min
-        self.exp_max = exp_max
-        self.baked = baked  #: (K, side, F) float32 or None
-
-
 class FusedLutGemmKernel(GemmKernel):
-    """Fused LUT engine for :class:`repro.arith.fpm.ApproxFPM` multipliers.
+    """Compiled LUT engine for :class:`repro.arith.fpm.ApproxFPM` multipliers.
 
-    Two strategies, chosen per weight matrix:
+    One call of the native library's ``repro_lut_gemm``
+    (:meth:`repro.nn.native.Kernels.lut_gemm`): it decodes every activation
+    into its operand code and exponent, and folds
+    ``table[code_a, code_w] * 2**(exp_a + exp_w)`` over K into the output,
+    bit-identical to :class:`FallbackGemmKernel`.  The weight operand's codes
+    and exponents are decoded here, with numpy, once per weight version.  A
+    call whose exponent sums can leave the exact window runs the reference
+    kernel instead (counted in ``unsafe_calls``).
 
-    * **baked** (weights within the bake budget): codes *and* exponents of
-      the weight operand are precomposed into a per-layer ``(K, side, F)``
-      float32 table whose per-``k`` slice is a dense ``(side, F)`` matrix of
-      ready-made signed products.  The hot loop gathers whole ``F``-rows with
-      one ``np.take`` per ``k`` (the activation code selects the row), scales
-      by the activation's power of two and folds in place -- three
-      cache-friendly passes per element, and the per-``k`` working set is a
-      single ``side * F`` slice;
-    * **shared** (large weights): the design-wide ``(side, side)`` product
-      table is gathered K-block by K-block through flat int32 indices
-      (``code_a * side + code_w``) formed with ``np.add(..., out=)`` into
-      reused buffers, and the exponent sum is resolved through the
-      power-of-two table.  Dense layers (``L == 1``) run a transposed block
-      layout so the contiguous inner axis is ``F``, not the singleton.
-
-    Both accumulate into a preallocated output with the identity-seeded left
-    fold and are bit-identical to :class:`FallbackGemmKernel`.
+    Built by :meth:`repro.arith.fpm.ApproxFPM.make_gemm_kernel` only where the
+    native library loaded; constructing one without it raises
+    :class:`~repro.nn.native.NativeUnavailable`.
     """
 
     fused = True
 
-    def __init__(
-        self,
-        multiplier,
-        k_block: int = DEFAULT_K_BLOCK,
-        bake_budget: Optional[int] = None,
-    ) -> None:
+    def __init__(self, multiplier) -> None:
         super().__init__(multiplier)
-        # chaos point: a kernel whose table bake dies (OOM, bad codegen in a
+        # chaos point: a kernel whose table build dies (OOM, bad codegen in a
         # real accelerator stack) raises here once per process -- the
         # runner's retry loop recovers it (the injector's once-per-key guard
         # lets the retry through)
         from repro.faults import FAULTS
+        from repro.nn import native
 
         FAULTS.maybe_raise("kernel.build_fail", getattr(multiplier, "name", "?"))
+        self._native = native.BACKEND.kernels()
+        if self._native is None:
+            raise native.NativeUnavailable("the fused GEMM needs the native library")
         self.frac_bits = int(multiplier.frac_bits)
-        self.side = operand_code_side(self.frac_bits)
-        self.k_block = max(1, int(k_block))
-        self.bake_budget = _bake_budget() if bake_budget is None else int(bake_budget)
         self._product_table = _resolve_product_table(multiplier)
-        self._product_flat = self._product_table.ravel()
         self._pow2 = pow2_table()
         self._fallback = FallbackGemmKernel(multiplier)
-        self._weight_version: Any = object()  # never equal to a caller token
-        self._prepared: Dict[Any, _PreparedWeights] = {}
-        self._buffers: Dict[str, Tuple[Tuple[int, ...], list]] = {}
+        #: ``(version, shape, codes, exponents)`` of the last weight, codes and
+        #: exponents ``(K, F)``; replaced whole, so a reader sees one weight
+        self._prepared: Optional[Tuple[Any, Tuple[int, ...], np.ndarray, np.ndarray]] = None
 
-    # ------------------------------------------------------------- weights
-    def _prepare_weights(
-        self, weight: np.ndarray, version: Optional[Any], key: Optional[Any]
-    ) -> _PreparedWeights:
-        if version is None or version != self._weight_version:
-            # unknown or changed content: drop everything derived from it
-            self._prepared.clear()
-            self._weight_version = version if version is not None else object()
-        cache_key = key if key is not None else "__weight__"
-        prepared = self._prepared.get(cache_key)
-        if prepared is not None and prepared.shape == weight.shape:
+    def _prepare_weights(self, weight: np.ndarray, version: Optional[Any]):
+        """``(codes, exponents)`` of ``weight``, each ``(K, F)``, cached per version."""
+        prepared = self._prepared
+        if (
+            version is not None
+            and prepared is not None
+            and prepared[0] == version
+            and prepared[1] == weight.shape
+        ):
             KERNEL_STATS.weight_cache_hits += 1
-            return prepared
+            return prepared[2:]
         KERNEL_STATS.weight_cache_misses += 1
         with TRACER.span(
             "kernel.prepare_weights",
             cat="kernel",
             multiplier=getattr(self.multiplier, "name", "?"),
             shape=list(weight.shape),
-        ) as span:
+        ):
             codes, exponents = operand_codes(weight, self.frac_bits)
-            f, k = weight.shape
-            exp_min = int(exponents.min()) if exponents.size else 0
-            exp_max = int(exponents.max()) if exponents.size else 0
-            baked = None
-            if self._can_bake(f * k, exp_min, exp_max):
-                baked = self._bake(codes, exponents)
-                KERNEL_STATS.weight_tables_baked += 1
-            # the strategy decision is the span's payload: baked per-layer
-            # tables vs the design-wide shared product table
-            span["strategy"] = "baked" if baked is not None else "shared"
-            exp_biased = (exponents + np.int32(POW2_BIAS)).astype(np.int32)
-            prepared = _PreparedWeights(
-                shape=weight.shape,
-                codes=codes,
-                codes_t=np.ascontiguousarray(codes.T),
-                exp_biased=exp_biased,
-                exp_biased_t=np.ascontiguousarray(exp_biased.T),
-                exp_min=exp_min,
-                exp_max=exp_max,
-                baked=baked,
+            prepared = (
+                version,
+                weight.shape,
+                np.ascontiguousarray(codes.T),
+                np.ascontiguousarray(exponents.T),
             )
-            self._prepared[cache_key] = prepared
-            return prepared
+        self._prepared = prepared
+        return prepared[2:]
 
-    def _can_bake(self, n_weights: int, exp_min: int, exp_max: int) -> bool:
-        """Whether baking the weight exponents keeps every table entry exact.
-
-        Exactness needs ``sig * 2**(e - 2*frac_bits)`` representable as a
-        normal float32 for every weight exponent ``e`` (sig can be as small
-        as 1 and carries up to ``2*frac_bits + 3`` bits), and the table must
-        fit the memory budget.
-        """
-        if self.side * n_weights * 4 > self.bake_budget:
-            return False
-        return exp_min >= 2 * self.frac_bits - 126 and exp_max <= 124
-
-    def _bake(self, codes: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        """Fold codes and exponents into a per-``k`` ``(K, side, F)`` table.
-
-        Built in float64 (exact for <= 23-bit integers times powers of two)
-        and downcast only once representability is guaranteed by
-        :meth:`_can_bake`, so every entry equals the real-valued intermediate
-        and the kernel's final multiply stays a single rounding.
-        """
-        f, k = codes.shape
-        table = np.empty((k, self.side, f), dtype=np.float32)
-        for col in range(k):
-            slab = self._product_table[:, codes[:, col]].astype(np.float64)
-            slab *= np.exp2(exponents[:, col].astype(np.float64))[np.newaxis, :]
-            table[col] = slab.astype(np.float32)
-        return table
-
-    # ------------------------------------------------------------- buffers
-    def _scratch(self, name: str, shape: Tuple[int, ...], dtypes: Tuple) -> list:
-        """Reused per-kernel work buffers, re-allocated only on shape change."""
-        cached = self._buffers.get(name)
-        if cached is None or cached[0] != shape:
-            cached = (shape, [np.empty(shape, dtype=dt) for dt in dtypes])
-            self._buffers[name] = cached
-        return cached[1]
-
-    def _block_extent(self, n: int, f: int, k: int, l: int) -> int:
-        """K-block width: configured cap, shrunk so buffers stay cache-sized."""
-        per_k = max(1, n * f * l)
-        return max(1, min(self.k_block, k, _BLOCK_ELEMENT_TARGET // per_k))
-
-    # ---------------------------------------------------------------- call
     def __call__(
         self,
         cols: np.ndarray,
         weight: np.ndarray,
         weight_version: Optional[Any] = None,
-        weight_key: Optional[Any] = None,
     ) -> np.ndarray:
-        cols = np.ascontiguousarray(cols, dtype=np.float32)
-        weight = np.ascontiguousarray(weight, dtype=np.float32)
+        cols = np.asarray(cols, dtype=np.float32)
+        weight = np.asarray(weight, dtype=np.float32)
         n, k, l = cols.shape
         f = weight.shape[0]
         if n == 0 or f == 0 or l == 0:
             return np.zeros((n, f, l), dtype=np.float32)
-        prepared = self._prepare_weights(weight, weight_version, weight_key)
-
-        codes_a, exp_a = operand_codes(cols, self.frac_bits)
-        exp_a_min = int(exp_a.min())
-        exp_a_max = int(exp_a.max())
-        if prepared.baked is not None:
-            # the baked multiply is exact for every finite activation
-            # exponent; only inf/NaN activations (exponent 128) escape
-            safe = exp_a_max <= _SAFE_EXP_MAX
-        else:
-            safe = (
-                exp_a_min + prepared.exp_min >= _SAFE_EXP_MIN
-                and exp_a_max + prepared.exp_max <= _SAFE_EXP_MAX
-            )
-        if not safe:
+        codes, exponents = self._prepare_weights(weight, weight_version)
+        out = self._native.lut_gemm(
+            cols,
+            codes,
+            exponents,
+            self._product_table,
+            self.frac_bits,
+            self._pow2,
+            POW2_BIAS,
+            (_SAFE_EXP_MIN, _SAFE_EXP_MAX),
+        )
+        if out is None:
             KERNEL_STATS.unsafe_calls += 1
             return self._fallback(cols, weight)
-
         KERNEL_STATS.fused_calls += 1
         KERNEL_STATS.fused_macs += n * f * k * l
-        if prepared.baked is not None:
-            return self._run_baked(prepared, codes_a, exp_a)
-        if l == 1:
-            return self._run_shared_dense(prepared, codes_a, exp_a)
-        return self._run_shared_blocked(prepared, codes_a, exp_a)
-
-    # ------------------------------------------------------------ strategies
-    def _run_baked(self, prepared, codes_a, exp_a) -> np.ndarray:
-        """Per-``k`` row gather from the baked ``(K, side, F)`` table."""
-        n, k, l = codes_a.shape
-        table = prepared.baked
-        f = table.shape[2]
-        scale_a = np.take(self._pow2, exp_a + np.int32(POW2_BIAS))  # exact 2**e
-        # (N, L, F) working layout: gathered rows land contiguously
-        (buf,) = self._scratch("baked", (n, l, f), (np.float32,))
-        acc = np.zeros((n, l, f), dtype=np.float32)  # identity-seeded fold
-        for col in range(k):
-            np.take(table[col], codes_a[:, col, :], axis=0, out=buf)
-            np.multiply(buf, scale_a[:, col, :, np.newaxis], out=buf)
-            np.add(acc, buf, out=acc)
-        return np.ascontiguousarray(acc.transpose(0, 2, 1))
-
-    def _run_shared_dense(self, prepared, codes_a, exp_a) -> np.ndarray:
-        """Shared-table path for ``L == 1``: transposed ``(N, kb, F)`` blocks."""
-        n, k, _ = codes_a.shape
-        f = prepared.shape[0]
-        a_idx = codes_a[:, :, 0] * np.int32(self.side)  # (N, K)
-        exp_a2 = exp_a[:, :, 0]
-        kb = self._block_extent(n, f, k, 1)
-        idx, prod, scale = self._scratch(
-            "shared_t", (n, kb, f), (np.int32, np.float32, np.float32)
-        )
-        out = np.zeros((n, f), dtype=np.float32)
-        for k0 in range(0, k, kb):
-            k1 = min(k, k0 + kb)
-            width = k1 - k0
-            i = idx[:, :width, :]
-            p = prod[:, :width, :]
-            s = scale[:, :width, :]
-            np.add(a_idx[:, k0:k1, np.newaxis], prepared.codes_t[np.newaxis, k0:k1, :], out=i)
-            np.take(self._product_flat, i, out=p, mode="clip")
-            np.add(
-                exp_a2[:, k0:k1, np.newaxis],
-                prepared.exp_biased_t[np.newaxis, k0:k1, :],
-                out=i,
-            )
-            np.take(self._pow2, i, out=s, mode="clip")
-            np.multiply(p, s, out=p)
-            for j in range(width):
-                np.add(out, p[:, j, :], out=out)
-        return out[:, :, np.newaxis]
-
-    def _run_shared_blocked(self, prepared, codes_a, exp_a) -> np.ndarray:
-        """Shared-table path: K-blocked flat-int32 gathers into ``(N, F, L)``."""
-        n, k, l = codes_a.shape
-        f = prepared.shape[0]
-        a_idx = codes_a * np.int32(self.side)
-        kb = self._block_extent(n, f, k, l)
-        idx, prod, scale = self._scratch(
-            "shared", (n, f, kb, l), (np.int32, np.float32, np.float32)
-        )
-        # identity-seeded like numpy's reduce: +0.0 + -0.0 == +0.0
-        out = np.zeros((n, f, l), dtype=np.float32)
-        for k0 in range(0, k, kb):
-            k1 = min(k, k0 + kb)
-            width = k1 - k0
-            i = idx[:, :, :width, :]
-            p = prod[:, :, :width, :]
-            s = scale[:, :, :width, :]
-            np.add(
-                a_idx[:, np.newaxis, k0:k1, :],
-                prepared.codes[np.newaxis, :, k0:k1, np.newaxis],
-                out=i,
-            )
-            np.take(self._product_flat, i, out=p, mode="clip")
-            np.add(
-                exp_a[:, np.newaxis, k0:k1, :],
-                prepared.exp_biased[np.newaxis, :, k0:k1, np.newaxis],
-                out=i,
-            )
-            np.take(self._pow2, i, out=s, mode="clip")
-            np.multiply(p, s, out=p)
-            for j in range(width):
-                np.add(out, p[:, :, j, :], out=out)
         return out

@@ -298,9 +298,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
     runner = Runner(fast=args.fast, cache_dir=args.cache_dir)
     plan = build_plan(runner, [spec])
-    if not plan.tasks:
-        print(f"\n# cells (fast={runner.fast}): none planned (legacy handler)")
-        return 0
     outlook = cache_outlook(runner, plan)
     display = {"warm": "hit", "stale": "stale", "cold": "cold"}
     print(

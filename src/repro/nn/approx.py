@@ -8,15 +8,14 @@ Additions stay exact, as in the paper (only the multiplier is approximated).
 
 Execution
 ---------
-Both layers drive their multiply-accumulate through the fused approximate-GEMM
+Both layers drive their multiply-accumulate through the approximate-GEMM
 engine (:mod:`repro.arith.kernels`), obtained once per layer via the
 capability API :meth:`~repro.arith.fpm.Multiplier.make_gemm_kernel`.  For
-LUT-tabulated designs this replaces the historical per-call decompose /
-broadcast-gather / ``np.ldexp`` pipeline with precomposed signed-product
-tables, a cached weight decomposition (keyed by the parameter's version
-counter) and K-blocked in-place accumulation -- bit-for-bit identical outputs,
-several times faster.  Multipliers without a LUT transparently fall back to a
-kernel wrapping plain ``multiply``.
+LUT-tabulated designs that is one call into the compiled native library per
+chunk: it decodes the activations and folds signed-product table entries,
+with the weight decomposition cached by the parameter's version counter.
+Multipliers without a LUT, and every design where the library is unavailable,
+get the reference kernel wrapping plain ``multiply`` -- the same bytes, slower.
 
 Gradients
 ---------
@@ -166,12 +165,9 @@ class ApproxLinear(_KernelHolder, Linear):
     Parameters
     ----------
     batch_chunk:
-        Maximum batch rows per kernel call.
-    out_chunk:
-        Maximum output features per kernel call.  Together the two chunks
-        bound the per-call working set at roughly
-        ``batch_chunk * out_chunk * in_features`` products, so wide layers no
-        longer materialise a full ``(batch, out, in)`` intermediate.
+        Maximum batch rows per kernel call; bounds the reference kernel's
+        ``(batch_chunk, out, in)`` products where the compiled one is
+        unavailable.
     """
 
     def __init__(
@@ -180,14 +176,12 @@ class ApproxLinear(_KernelHolder, Linear):
         out_features: int,
         multiplier: Optional[Multiplier] = None,
         batch_chunk: int = 128,
-        out_chunk: int = 128,
         rng: Optional[np.random.Generator] = None,
         name: str = "approx_fc",
     ):
         super().__init__(in_features, out_features, rng=rng, name=name)
         self.multiplier = multiplier if multiplier is not None else AxFPM()
         self.batch_chunk = int(batch_chunk)
-        self.out_chunk = int(out_chunk)
         self._gemm_kernel = None
 
     @classmethod
@@ -196,7 +190,6 @@ class ApproxLinear(_KernelHolder, Linear):
         layer: Linear,
         multiplier: Optional[Multiplier] = None,
         batch_chunk: int = 128,
-        out_chunk: int = 128,
     ) -> "ApproxLinear":
         """Build an approximate dense layer sharing the exact layer's parameters."""
         approx = cls(
@@ -204,7 +197,6 @@ class ApproxLinear(_KernelHolder, Linear):
             layer.out_features,
             multiplier=multiplier,
             batch_chunk=batch_chunk,
-            out_chunk=out_chunk,
             name=getattr(layer, "name", "approx_fc"),
         )
         approx.weight = layer.weight
@@ -219,21 +211,13 @@ class ApproxLinear(_KernelHolder, Linear):
         weight = self.weight.value
         version = self.weight.version
         chunk = max(1, self.batch_chunk)
-        ochunk = max(1, self.out_chunk)
         for start in range(0, n, chunk):
             stop = min(n, start + chunk)
             # activations drive the multiplicand port, weights the multiplier
             # port (same assignment as ApproxConv2d); the GEMM contraction is
             # the L=1 case of the conv kernel
             cols = x[start:stop, :, np.newaxis]
-            for o_start in range(0, self.out_features, ochunk):
-                o_stop = min(self.out_features, o_start + ochunk)
-                out[start:stop, o_start:o_stop] = kernel(
-                    cols,
-                    weight[o_start:o_stop],
-                    weight_version=version,
-                    weight_key=(o_start, o_stop),
-                )[:, :, 0]
+            out[start:stop] = kernel(cols, weight, weight_version=version)[:, :, 0]
         return (out + self.bias.value).astype(np.float32)
 
     # backward() inherited from Linear (BPDA).

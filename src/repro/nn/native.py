@@ -1,10 +1,11 @@
-"""Compiled data-movement kernels for the exact convolution and pooling paths.
+"""Compiled kernels: conv/pool data movement and the approximate GEMM.
 
 Training the exact and DQ baselines is mostly data movement: patch
 extraction (``im2col``), its scatter-add inverse (``col2im``) and the 2x2
-max-pool.  This module carries four small C kernels for that movement,
-compiled on first use with the system C compiler and loaded with
-:mod:`ctypes`:
+max-pool; evaluating the approximate models is mostly the emulated
+multiplier's GEMM.  This module carries five small C kernels for them,
+compiled on first use with the system C compiler into one library and
+loaded with :mod:`ctypes`:
 
 * ``repro_im2col`` -- patches of an ``(N, C, H, W)`` input of any strides
   into a patch matrix of any strides (the ``(N, K, L)``, ``(N, L, K)`` and
@@ -14,11 +15,16 @@ compiled on first use with the system C compiler and loaded with
   order, starting from ``+0.0``;
 * ``repro_maxpool2x2_forward`` / ``_backward`` -- 2x2/stride-2 max pooling
   with ``np.argmax``'s first-max/first-NaN rule and the backward pass's
-  ``0.0 + g`` scatter.
+  ``0.0 + g`` scatter;
+* ``repro_lut_gemm`` -- the approximate GEMM of
+  :class:`repro.arith.kernels.FusedLutGemmKernel`: it decodes each activation
+  as :func:`~repro.arith.float_format.operand_codes` does and folds
+  signed-product table entries scaled by ``2**(exponent sum)`` over K.
 
-Every kernel moves or adds exactly what the numpy functions in
-:mod:`repro.nn.functional` do, in the same order, so results are
-bit-identical to them (``tests/test_native.py`` proves it byte for byte).
+Every kernel moves, adds or multiplies exactly what its numpy reference
+does (:mod:`repro.nn.functional`, :class:`~repro.arith.kernels.FallbackGemmKernel`),
+in the same order, so results are bit-identical to it (``tests/test_native.py``
+and ``tests/test_kernels.py`` prove it byte for byte).
 The build uses ``-O3 -fPIC -shared -ffp-contract=off``: no FMA contraction,
 no fast-math and no ``-march=native``, so the library does not depend on the
 build machine's vector extensions for its numerics.
@@ -34,10 +40,11 @@ published library that fails to load is deleted and rebuilt once.
 
 Fallback: with no ``cc`` on ``PATH``, a failed build or load, or the
 ``kernel.build_fail`` fault point firing at key ``native:<DIGEST>``, the
-process warns once, counts ``NATIVE_STATS.fallbacks`` and keeps the numpy
-functions -- the same bytes, only slower.  The process resolves the backend
-once (:data:`BACKEND`); the parallel engine resolves it before it forks a
-pool, so workers inherit the loaded library (or the fallback decision).
+process warns once, counts ``NATIVE_STATS.fallbacks``, keeps the numpy
+conv/pool functions and gives approximate layers the reference GEMM kernel
+-- the same bytes, only slower.  The process resolves the backend once
+(:data:`BACKEND`); the parallel engine resolves it before it forks a pool,
+so workers inherit the loaded library (or the fallback decision).
 """
 
 from __future__ import annotations
@@ -311,6 +318,133 @@ idx repro_maxpool2x2_backward(const float *restrict g, idx gn, idx gc, idx gh, i
         }
     return bad;
 }
+
+/* float_format.operand_codes of one float32: sign and truncated fraction
+   pack into (fraction >> (23 - fb)) | sign << fb, zeros and subnormals into
+   code 2 << fb with exponent 0; inf/NaN keep exponent 128. */
+INLINE int32_t operand_code(float v, int fb, int32_t *e)
+{
+    uint32_t b;
+    memcpy(&b, &v, sizeof b);
+    if (!(b & 0x7F800000u)) {
+        *e = 0;
+        return 2 << fb;
+    }
+    *e = (int32_t)((b >> 23) & 0xFF) - 127;
+    return (int32_t)(((b & 0x7FFFFFu) >> (23 - fb)) | ((b >> 31) << fb));
+}
+
+/* 2**e for the float whose exponent field is s + (e << 23): exact while the
+   sum is a normal exponent. */
+INLINE float exponent_bits(int32_t s, int32_t e)
+{
+    uint32_t b = (uint32_t)s + ((uint32_t)e << 23);
+    float f;
+    memcpy(&f, &b, sizeof f);
+    return f;
+}
+
+/* One k of m positions: acc[j*f_n + fi] += table[row[j] + cb[fi]] *
+   2**(ea[j] + eb[fi]), four positions per pass over f.  With normal set,
+   every exponent sum is a normal float exponent and the power is built from
+   its bits; otherwise it is read from pow2 (bias + sum). */
+INLINE void lut_step(float *restrict acc, idx m, idx f_n, const int32_t *row, const int32_t *ea,
+                     const int32_t *restrict cb, const int32_t *restrict eb,
+                     const float *restrict table, const float *restrict pow2, idx bias, int normal)
+{
+#define SCALE(j) (normal ? (ea[j] + 127) * (1 << 23) : ea[j] + (int32_t)bias)
+#define POW2(s, e) (normal ? exponent_bits(s, e) : pow2[(s) + (e)])
+    idx j = 0, fi;
+    for (; j + 4 <= m; j += 4) {
+        const float *t0 = table + row[j], *t1 = table + row[j + 1];
+        const float *t2 = table + row[j + 2], *t3 = table + row[j + 3];
+        int32_t s0 = SCALE(j), s1 = SCALE(j + 1), s2 = SCALE(j + 2), s3 = SCALE(j + 3);
+        float *a = acc + j * f_n;
+        for (fi = 0; fi < f_n; fi++) {
+            int32_t c = cb[fi], e = eb[fi];
+            a[fi] += t0[c] * POW2(s0, e);
+            a[f_n + fi] += t1[c] * POW2(s1, e);
+            a[2 * f_n + fi] += t2[c] * POW2(s2, e);
+            a[3 * f_n + fi] += t3[c] * POW2(s3, e);
+        }
+    }
+    for (; j < m; j++) {
+        const float *t = table + row[j];
+        int32_t s = SCALE(j);
+        float *a = acc + j * f_n;
+        for (fi = 0; fi < f_n; fi++) a[fi] += t[cb[fi]] * POW2(s, eb[fi]);
+    }
+#undef SCALE
+#undef POW2
+}
+
+/* Approximate GEMM through the signed-product table.  x is the (n, k, l)
+   activation matrix (element strides sn, sk, sl); wcode and wexp are the
+   weight's operand codes and exponents, C-contiguous (k, f).  Returns 1,
+   writing nothing, when an activation and a weight exponent can sum outside
+   [lo, hi] (where table * pow2 stops being one correctly rounded multiply),
+   2 when scratch memory runs out, 3 for a weight code outside the table.
+   Otherwise out[ni*on + fi*of + li*ol] is
+   the float32 left fold from +0.0 over k of
+   table[ca*side + cb] * pow2[bias + ea + eb], accumulated for a block of
+   positions at a time so the inner loop runs along f.  Every extent is
+   positive. */
+int repro_lut_gemm(const float *restrict x, idx n, idx k_n, idx l_n, idx sn, idx sk, idx sl,
+                   const int32_t *restrict wcode, const int32_t *restrict wexp, idx f_n,
+                   const float *restrict table, int fb, const float *restrict pow2,
+                   idx bias, idx lo, idx hi, float *restrict out, idx on, idx of, idx ol)
+{
+    idx side = (2 << fb) + 1, kl = k_n * l_n, block, ni, ki, li, l0, l1, fi, i;
+    int32_t amin = 128, amax = -127, wmin = 128, wmax = -127, normal;
+    int32_t *row = malloc((size_t)(n * kl) * sizeof(int32_t));
+    int32_t *ea = malloc((size_t)(n * kl) * sizeof(int32_t));
+    float *acc = NULL;
+    int status = 2;
+    if (!row || !ea) goto done;
+    for (ni = 0; ni < n; ni++)
+        for (ki = 0; ki < k_n; ki++)
+            for (li = 0; li < l_n; li++) {
+                i = (ni * k_n + ki) * l_n + li;
+                row[i] = operand_code(x[ni * sn + ki * sk + li * sl], fb, &ea[i]) * (int32_t)side;
+                amin = ea[i] < amin ? ea[i] : amin;
+                amax = ea[i] > amax ? ea[i] : amax;
+            }
+    status = 3;
+    for (i = 0; i < k_n * f_n; i++) {
+        if (wcode[i] < 0 || wcode[i] >= side) goto done;
+        wmin = wexp[i] < wmin ? wexp[i] : wmin;
+        wmax = wexp[i] > wmax ? wexp[i] : wmax;
+    }
+    status = 1;
+    if (amin + wmin < lo || amax + wmax > hi) goto done;
+    normal = amin + wmin >= -126 && amax + wmax <= 127; /* every power normal */
+    block = f_n < 2048 ? 2048 / f_n : 1;
+    block = block < l_n ? block : l_n;
+    status = 2;
+    if (!(acc = malloc((size_t)(block * f_n) * sizeof(float)))) goto done;
+    for (ni = 0; ni < n; ni++)
+        for (l0 = 0; l0 < l_n; l0 += block) {
+            l1 = l0 + block < l_n ? l0 + block : l_n;
+            memset(acc, 0, (size_t)((l1 - l0) * f_n) * sizeof(float));
+            for (ki = 0; ki < k_n; ki++) {
+                const int32_t *cb = wcode + ki * f_n, *eb = wexp + ki * f_n;
+                i = (ni * k_n + ki) * l_n + l0;
+                if (normal)
+                    lut_step(acc, l1 - l0, f_n, row + i, ea + i, cb, eb, table, pow2, bias, 1);
+                else
+                    lut_step(acc, l1 - l0, f_n, row + i, ea + i, cb, eb, table, pow2, bias, 0);
+            }
+            for (li = l0; li < l1; li++)
+                for (fi = 0; fi < f_n; fi++)
+                    out[ni * on + fi * of + li * ol] = acc[(li - l0) * f_n + fi];
+        }
+    status = 0;
+done:
+    free(row);
+    free(ea);
+    free(acc);
+    return status;
+}
 """
 
 #: compiler flags: no FMA contraction, no fast-math, no host-specific ISA
@@ -333,6 +467,7 @@ NATIVE_STATS = NativeStats()
 
 _IDX = ctypes.c_ssize_t
 _FLOATS = ctypes.POINTER(ctypes.c_float)
+_INT32S = ctypes.POINTER(ctypes.c_int32)
 _INT64S = ctypes.POINTER(ctypes.c_int64)
 
 _SIGNATURES = {
@@ -340,6 +475,11 @@ _SIGNATURES = {
     "repro_col2im": (None, [_FLOATS] + [_IDX] * 11 + [_FLOATS]),
     "repro_maxpool2x2_forward": (None, [_FLOATS] + [_IDX] * 8 + [_FLOATS, _INT64S]),
     "repro_maxpool2x2_backward": (_IDX, [_FLOATS] + [_IDX] * 4 + [_INT64S] + [_IDX] * 4 + [_FLOATS]),
+    "repro_lut_gemm": (
+        ctypes.c_int,
+        [_FLOATS] + [_IDX] * 6 + [_INT32S, _INT32S, _IDX, _FLOATS, ctypes.c_int, _FLOATS]
+        + [_IDX] * 3 + [_FLOATS] + [_IDX] * 3,
+    ),
 }
 
 
@@ -368,7 +508,7 @@ def _compiler() -> Tuple[str, str]:
 def library_path(directory: Path, compiler_version: str) -> Path:
     """Where the library built by ``compiler_version`` lives in ``directory``."""
     tag = hashlib.sha256(f"{DIGEST}\0{compiler_version}".encode()).hexdigest()[:16]
-    return Path(directory) / f"conv_pool-{tag}.so"
+    return Path(directory) / f"kernels-{tag}.so"
 
 
 def build_library(directory: Path, cc: str, compiler_version: str) -> Path:
@@ -407,8 +547,10 @@ class Kernels:
     """ctypes bindings of one loaded library.
 
     Each method checks dtype, alignment, strides and geometry before any
-    pointer reaches C, and returns ``None`` (or ``False``) where its kernel
-    does not apply -- the caller then runs the numpy function instead.
+    pointer reaches C.  The conv/pool methods return ``None`` (or ``False``)
+    where their kernel does not apply -- the caller then runs the numpy
+    function instead; :meth:`lut_gemm` raises on operands outside its
+    contract and returns ``None`` for calls its exponent window refuses.
     """
 
     def __init__(self, path: Path):
@@ -514,6 +656,66 @@ class Kernels:
         )
         return None if bad else grad
 
+    def lut_gemm(
+        self,
+        cols: np.ndarray,
+        weight_codes: np.ndarray,
+        weight_exponents: np.ndarray,
+        table: np.ndarray,
+        frac_bits: int,
+        pow2: np.ndarray,
+        bias: int,
+        window: Tuple[int, int],
+    ) -> Optional[np.ndarray]:
+        """The ``(N, F, L)`` approximate GEMM of ``cols`` (``(N, K, L)``, any strides).
+
+        ``weight_codes``/``weight_exponents`` are the weight's
+        :func:`~repro.arith.float_format.operand_codes`, C-contiguous int32
+        ``(K, F)``; ``table`` is the ``(side, side)`` signed product table of
+        ``frac_bits`` and ``pow2[bias + e] == 2**e`` across ``window``.
+        ``None`` when an exponent sum can leave ``window``.
+        """
+        n, k, l = cols.shape
+        f = weight_codes.shape[1]
+        side = 2 * (1 << frac_bits) + 1
+        lo, hi = window
+        if (
+            cols.dtype != np.float32
+            or weight_codes.shape != (k, f)
+            or weight_exponents.shape != (k, f)
+            or table.shape != (side, side)
+            or table.dtype != np.float32
+            or pow2.dtype != np.float32
+            or not 0 <= bias + lo <= bias + hi < pow2.size
+            or not all(
+                a.flags.c_contiguous for a in (weight_codes, weight_exponents, table, pow2)
+            )
+            or not weight_codes.dtype == weight_exponents.dtype == np.int32
+        ):
+            raise ValueError("lut_gemm: operands do not match the kernel's contract")
+        out = np.zeros((n, f, l), dtype=np.float32)
+        if out.size == 0 or k == 0:
+            return out
+        if not self._usable(cols):
+            cols = np.ascontiguousarray(cols)
+        geometry = (n, k, l, *self._strides(cols))
+        placement = self._strides(out)
+        if l == 1:
+            # dense: one pass whose positions are the batch rows
+            geometry = (1, k, n, 0, geometry[4], geometry[3])
+            placement = (0, placement[1], placement[0])
+        status = self._lib.repro_lut_gemm(
+            self._floats(cols), *geometry,
+            weight_codes.ctypes.data_as(_INT32S), weight_exponents.ctypes.data_as(_INT32S), f,
+            self._floats(table), frac_bits, self._floats(pow2), bias, lo, hi,
+            self._floats(out), *placement,
+        )
+        if status == 2:
+            raise MemoryError("lut_gemm: out of scratch memory")
+        if status == 3:
+            raise ValueError("lut_gemm: a weight code lies outside the product table")
+        return None if status else out
+
 
 class NativeBackend:
     """Resolves, once per process, whether the kernels are available.
@@ -558,7 +760,8 @@ class NativeBackend:
         except (InjectedFault, NativeUnavailable, OSError, subprocess.SubprocessError) as exc:
             NATIVE_STATS.fallbacks += 1
             warnings.warn(
-                f"native conv/pool kernels unavailable ({exc}); using the numpy path",
+                f"native kernels unavailable ({exc}); using the numpy conv/pool path "
+                "and the reference GEMM",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -566,5 +769,6 @@ class NativeBackend:
         return kernels
 
 
-#: the process's backend, consulted by :mod:`repro.nn.functional`
+#: the process's backend, consulted by :mod:`repro.nn.functional` and
+#: :meth:`repro.arith.fpm.ApproxFPM.make_gemm_kernel`
 BACKEND = NativeBackend()

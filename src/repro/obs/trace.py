@@ -2,8 +2,8 @@
 
 Spans are the observability primitive threaded through every execution tier:
 the runner wraps each grid cell, the parallel engine wraps each worker
-shard, the kernel engine marks its strategy decisions (bake vs shared table
-vs reference fallback), attacks mark their phases (victim selection,
+shard, the kernel engine marks its build decisions (compiled LUT kernel vs
+reference fallback), attacks mark their phases (victim selection,
 forward, gradient sweep, rollout) and the artifact store marks lease
 traffic and eviction.  Everything is stdlib and **off by default**: with
 ``REPRO_TRACE`` unset, :meth:`Tracer.span` returns a shared no-op context

@@ -51,7 +51,6 @@ class ExperimentPlan:
     handler: Any
     requests: List[CellRequest] = field(default_factory=list)
     digests: List[str] = field(default_factory=list)
-    legacy: bool = False  #: plain-function handler; executed cell-by-cell
 
 
 @dataclass
@@ -118,19 +117,11 @@ def cache_outlook(runner, plan: ExecutionPlan) -> Dict[str, Any]:
 
 
 def build_plan(runner, specs: List[Any]) -> ExecutionPlan:
-    """Plan ``specs`` against ``runner``'s configuration (fast flag, sharding).
-
-    Experiment kinds registered as plain functions (the pre-plan handler
-    protocol) are kept as *legacy* entries: they contribute no tasks and are
-    executed serially, cell by cell, at assembly time.
-    """
+    """Plan ``specs`` against ``runner``'s configuration (fast flag, sharding)."""
     experiments: List[ExperimentPlan] = []
     tasks: Dict[str, CellTask] = {}
     for spec in specs:
         handler = runner.kind_handler(spec.kind)
-        if not hasattr(handler, "plan"):
-            experiments.append(ExperimentPlan(spec=spec, handler=handler, legacy=True))
-            continue
         requests = list(handler.plan(runner, spec))
         digests = []
         for request in requests:

@@ -46,7 +46,7 @@ from repro.obs import TRACER
 from repro.parallel.sharding import cell_seed
 from repro.parallel.sharding import n_shards as _shard_count
 from repro.parallel.sharding import shard_bounds
-from repro.pipeline.fingerprints import ZOO_PREFIX, conservative_keys
+from repro.pipeline.fingerprints import ZOO_PREFIX
 from repro.pipeline.spec import ExperimentSpec
 from repro.registry import RegistryError, registry
 
@@ -71,11 +71,10 @@ class CellKind:
     shard_fn: Callable[[Any, Dict[str, Any], int], Dict[str, Any]]
     merge_fn: Callable[[Dict[str, Any], List[Dict[str, Any]]], Dict[str, Any]]
     shards_fn: Callable[[Any, Dict[str, Any]], int]
-    warm_fn: Optional[Callable[[Any, Dict[str, Any]], None]] = None
     #: payload -> fingerprint surface keys the cell's value depends on
-    #: (:mod:`repro.pipeline.fingerprints`); ``None`` falls back to the
-    #: conservative every-surface set
-    deps_fn: Optional[Callable[[Dict[str, Any]], Any]] = None
+    #: (:mod:`repro.pipeline.fingerprints`)
+    deps_fn: Callable[[Dict[str, Any]], Any]
+    warm_fn: Optional[Callable[[Any, Dict[str, Any]], None]] = None
 
     def dependencies(self, payload: Dict[str, Any]) -> tuple:
         """The sorted, deduplicated surface keys this cell re-keys on.
@@ -85,8 +84,6 @@ class CellKind:
         has no ``kernels`` dependency, its ``da`` sibling does -- which is
         exactly why a kernel bump leaves clean-accuracy cells warm.
         """
-        if self.deps_fn is None:
-            return conservative_keys(payload)
         return tuple(sorted(set(self.deps_fn(payload))))
 
     def n_shards(self, runner, payload: Dict[str, Any]) -> int:
@@ -128,17 +125,15 @@ def register_cell_kind(
     merge: Optional[Callable[[Dict[str, Any], List[Dict[str, Any]]], Dict[str, Any]]] = None,
     shards: Optional[Callable[[Any, Dict[str, Any]], int]] = None,
     warm: Optional[Callable[[Any, Dict[str, Any]], None]] = None,
-    deps: Any = None,
+    deps: Any,
 ) -> CellKind:
     """Register a cell kind, either single-shot (``compute``) or sharded.
 
     ``deps`` declares the fingerprint surfaces the cell's value depends on
     (:mod:`repro.pipeline.fingerprints`): a static tuple of surface keys, or
     a callable ``payload -> keys`` for payload-conditional dependencies.
-    Omitting it keys the cell on *every* surface -- safe, never sharper than
-    the old global version knob, so new kinds should always declare.
     """
-    deps_fn = deps if callable(deps) or deps is None else (lambda _payload, _d=tuple(deps): _d)
+    deps_fn = deps if callable(deps) else (lambda _payload, _d=tuple(deps): _d)
     if compute is not None:
         kind = CellKind(
             name=name,

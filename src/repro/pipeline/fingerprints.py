@@ -158,22 +158,6 @@ def fingerprint_map(keys: Iterable[str]) -> Dict[str, str]:
     return {key: resolve_fingerprint(key) for key in sorted(set(keys))}
 
 
-def conservative_keys(payload: Dict[str, Any]) -> Tuple[str, ...]:
-    """Every surface a payload *could* depend on (unregistered cell kinds).
-
-    The legacy ``Runner.cell(kind, payload, compute=closure)`` protocol can
-    name kinds with no registered dependency declaration; those fall back to
-    depending on every static surface plus any zoo entries the payload
-    visibly references -- exactly as conservative as the old global version.
-    """
-    keys: List[str] = list(SURFACES)
-    for field in ("model", "substitute", "dq_zoo"):
-        name = payload.get(field)
-        if name:
-            keys.append(ZOO_PREFIX + str(name))
-    return tuple(sorted(set(keys)))
-
-
 def content_key(cell_kind: str, fast: bool, payload: Any) -> str:
     """A cell's *logical* identity: what it computes, independent of deps.
 

@@ -476,24 +476,14 @@ class Runner:
         """Build one experiment's result from its materialised cells."""
         spec = eplan.spec
         start = time.perf_counter()
-        if eplan.legacy:
-            # pre-plan handler protocol: a plain function computing its own
-            # cells through Runner.cell (which updates the run counters)
-            hits_before, misses_before = self.cache_hits, self.cache_misses
-            headers, rows, metrics = eplan.handler(self, spec)
-            hits = self.cache_hits - hits_before
-            misses = self.cache_misses - misses_before
-            compute_seconds = 0.0
-            events = []
-        else:
-            cells = {
-                request.key: outcomes[digest].value
-                for request, digest in zip(eplan.requests, eplan.digests)
-            }
-            headers, rows, metrics = eplan.handler.assemble(self, spec, cells)
-            hits, misses, compute_seconds = self._attribute(eplan, plan, outcomes)
-            referenced = set(eplan.digests)
-            events = [e.to_dict() for e in self.telemetry.events if e.digest in referenced]
+        cells = {
+            request.key: outcomes[digest].value
+            for request, digest in zip(eplan.requests, eplan.digests)
+        }
+        headers, rows, metrics = eplan.handler.assemble(self, spec, cells)
+        hits, misses, compute_seconds = self._attribute(eplan, plan, outcomes)
+        referenced = set(eplan.digests)
+        events = [e.to_dict() for e in self.telemetry.events if e.digest in referenced]
         elapsed = (time.perf_counter() - start) + compute_seconds
         return ExperimentResult(
             name=spec.name,
@@ -607,18 +597,10 @@ class Runner:
     def cell_dependencies(self, cell_kind: str, payload: Dict[str, Any]) -> Tuple[str, ...]:
         """The fingerprint surface keys this cell's digest re-keys on.
 
-        Registered kinds answer from their ``deps=`` declaration; unknown
-        kinds (the legacy explicit-closure protocol) fall back to every
-        surface -- exactly as conservative as the retired global version.
+        Answered from the kind's ``deps=`` declaration; an unregistered kind
+        raises :class:`~repro.registry.RegistryError`.
         """
-        from repro.pipeline.fingerprints import conservative_keys
-        from repro.registry import RegistryError
-
-        try:
-            kind = get_cell_kind(cell_kind)
-        except RegistryError:
-            return conservative_keys(payload)
-        return kind.dependencies(payload)
+        return get_cell_kind(cell_kind).dependencies(payload)
 
     def cell_fingerprints(self, cell_kind: str, payload: Dict[str, Any]) -> Dict[str, str]:
         """``{surface key: live fingerprint token}`` for this cell."""
@@ -703,7 +685,7 @@ class Runner:
         """Fold ordered shard results into the published cell value."""
         return _jsonable(get_cell_kind(cell_kind).merge(payload, shards))
 
-    def _execute_cell(self, cell_kind: str, payload: Dict[str, Any], digest: str, compute=None):
+    def _execute_cell(self, cell_kind: str, payload: Dict[str, Any], digest: str):
         """Materialise one cell under its writer lease (serial path).
 
         The store's lease protocol makes concurrent clients sharing the cache
@@ -713,16 +695,13 @@ class Runner:
         """
         from repro.parallel.plan import CellOutcome
 
-        kind = None if compute is not None else get_cell_kind(cell_kind)
-        shards = 1 if kind is None else kind.n_shards(self, payload)
+        shards = get_cell_kind(cell_kind).n_shards(self, payload)
         value = self.read_cell(cell_kind, payload, digest)
         if value is not None:
             return CellOutcome(value, "hit", 0.0, shards)
 
         def produce_once() -> Any:
             self._log(f"  cell: computing {cell_kind} {digest[:10]}")
-            if compute is not None:
-                return _jsonable(compute())
             return self.compute_cell(cell_kind, payload)
 
         def produce() -> Any:
@@ -773,21 +752,14 @@ class Runner:
             lease.release()
         return CellOutcome(value, "computed", time.perf_counter() - start, shards)
 
-    def cell(
-        self,
-        cell_kind: str,
-        payload: Dict[str, Any],
-        compute: Optional[Callable[[], Dict[str, Any]]] = None,
-    ) -> Dict[str, Any]:
+    def cell(self, cell_kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Compute one grid cell, caching its JSON artifact on disk.
 
-        With ``compute=None`` the computation is resolved from the
-        ``"cell-kind"`` registry (:mod:`repro.pipeline.cells`); passing an
-        explicit closure is the legacy protocol still used by plain-function
-        experiment kinds.
+        The computation is resolved from the ``"cell-kind"`` registry
+        (:mod:`repro.pipeline.cells`).
         """
         digest = self.cell_digest(cell_kind, payload)
-        outcome = self._execute_cell(cell_kind, payload, digest, compute)
+        outcome = self._execute_cell(cell_kind, payload, digest)
         if outcome.status == "hit":
             self.cache_hits += 1
         else:

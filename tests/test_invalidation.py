@@ -18,13 +18,13 @@ import pytest
 
 from repro.pipeline import Runner, list_experiments
 from repro.pipeline.fingerprints import (
-    conservative_keys,
     content_key,
     diff_fingerprints,
     fingerprint_map,
     meta_status,
     resolve_fingerprint,
 )
+from repro.registry import RegistryError
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -105,14 +105,11 @@ def test_leaf_kinds_have_minimal_dependencies(runner):
     ) == ("arith",)
 
 
-def test_unregistered_kinds_fall_back_to_every_surface(runner):
-    # the legacy Runner.cell(kind, payload, compute=closure) protocol: as
-    # conservative as the old global CELL_CACHE_VERSION
+def test_an_unregistered_cell_kind_is_refused(runner):
     payload = {"model": "lenet_digits", "x": 1}
-    deps = runner.cell_dependencies("some_legacy_kind", payload)
-    assert deps == conservative_keys(payload)
-    assert set(SURFACE_CONSTANTS) <= set(deps)
-    assert "zoo:lenet_digits" in deps
+    for refuse in (runner.cell_dependencies, runner.cell_digest, runner.cell):
+        with pytest.raises(RegistryError, match="some_unregistered_kind"):
+            refuse("some_unregistered_kind", payload)
 
 
 # ------------------------------------------------ surface bumps flip dependents

@@ -282,18 +282,3 @@ def test_shared_cells_are_computed_once_per_run(tmp_path, tiny_zoo_entry):
     assert (first.cache_hits, first.cache_misses) == (0, 1)
     assert (second.cache_hits, second.cache_misses) == (1, 0)
     assert first.metrics == second.metrics
-
-
-def test_legacy_closure_cell_api_still_works(tmp_path):
-    runner = make_runner(tmp_path, jobs=1)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"value": 42}
-
-    payload = {"anything": 1}
-    assert runner.cell("legacy_kind", payload, compute) == {"value": 42}
-    assert runner.cell("legacy_kind", payload, compute) == {"value": 42}
-    assert len(calls) == 1  # second call served from the artifact cache
-    assert runner.cache_hits == 1 and runner.cache_misses == 1
