@@ -1,8 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point: the project's only packaging metadata.
 
-Kept alongside ``pyproject.toml`` so that editable installs work on
-offline machines whose pip/setuptools combination cannot use PEP 660
-(no ``wheel`` package available).
+Installs the ``repro`` package from ``src/`` and the ``repro`` console
+script.  On an offline machine whose pip/setuptools combination cannot do a
+PEP 660 editable install (no ``wheel`` package available),
+``python setup.py develop`` is the fallback.
 """
 
 from setuptools import find_packages, setup

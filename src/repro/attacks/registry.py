@@ -3,9 +3,10 @@
 Each entry records the attack's category (gradient / score / decision based),
 the norm it minimises, whether it is one-shot or iterative, and the strength
 rating the paper quotes from Akhtar & Mian (2018).  The entries live in the
-unified ``"attack"`` registry (:mod:`repro.registry`); ``ATTACK_SPECS``,
-:func:`create_attack` and :func:`list_attacks` are kept as the historical
-entry points over it.
+unified ``"attack"`` registry (:mod:`repro.registry`); ``ATTACK_SPECS``
+maps each name :func:`register_attack` added to its spec, and
+:func:`create_attack` and :func:`list_attacks` are the historical entry
+points over the registry.
 """
 
 from __future__ import annotations
@@ -47,35 +48,8 @@ class AttackSpec:
         return self.attack_class(**params)
 
 
-class _AttackSpecView(Dict[str, AttackSpec]):
-    """Legacy dict view over the attack registry.
-
-    :func:`register_attack` populates the dict storage itself, so every
-    inherited dict method works; iteration and membership delegate to the
-    registry so entries registered or removed directly on :data:`ATTACKS`
-    are still observed.  Attacks registered directly on :data:`ATTACKS`
-    without an :class:`AttackSpec` are usable through the registry API but
-    have no spec to expose here -- register through :func:`register_attack`
-    for full legacy-dict visibility.
-    """
-
-    def __missing__(self, name: str) -> AttackSpec:
-        spec = ATTACKS.metadata(name).get("spec")
-        if spec is None:
-            raise KeyError(name)
-        return spec
-
-    def __iter__(self):
-        return iter(ATTACKS.names())
-
-    def __len__(self) -> int:
-        return len(ATTACKS)
-
-    def __contains__(self, name: object) -> bool:
-        return name in ATTACKS
-
-
-ATTACK_SPECS: Dict[str, AttackSpec] = _AttackSpecView()
+#: attack name -> :class:`AttackSpec`, filled by :func:`register_attack`
+ATTACK_SPECS: Dict[str, AttackSpec] = {}
 
 
 def register_attack(spec: AttackSpec) -> AttackSpec:
@@ -91,9 +65,7 @@ def register_attack(spec: AttackSpec) -> AttackSpec:
             "strength": spec.strength,
         },
     )
-    # keep the legacy view's own storage in sync so inherited dict methods
-    # (.copy(), ==, .items() ...) see the same entries as the registry
-    dict.__setitem__(ATTACK_SPECS, spec.name, spec)
+    ATTACK_SPECS[spec.name] = spec
     return spec
 
 

@@ -335,6 +335,38 @@ def _cached_model(
     return model
 
 
+#: the optimizers a recipe's ``optimizer.kind`` names
+_OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
+def _train_recipe(model: Sequential, recipe: Dict[str, Any], split: DataSplit, fast: bool) -> None:
+    """Train ``model`` on ``split.train`` as ``recipe`` declares.
+
+    The optimizer is ``recipe["optimizer"]["kind"]``, built from the other
+    optimizer fields.  The schedule runs ``fast_epochs`` or ``epochs``; the
+    full profile then runs ``fine_tune_epochs`` at ``fine_tune_lr`` on the
+    same optimizer, where the schedule declares a fine-tune phase.
+    """
+    settings = dict(recipe["optimizer"])
+    optimizer = _OPTIMIZERS[settings.pop("kind")](model.parameters(), **settings)
+    schedule = recipe["schedule"]
+
+    def fit(epochs: int) -> None:
+        train_classifier(
+            model,
+            optimizer,
+            split.train.images,
+            split.train.labels,
+            epochs=epochs,
+            batch_size=schedule["batch_size"],
+        )
+
+    fit(schedule["fast_epochs"] if fast else schedule["epochs"])
+    if not fast and "fine_tune_epochs" in schedule:
+        optimizer.lr = schedule["fine_tune_lr"]
+        fit(schedule["fine_tune_epochs"])
+
+
 def _suffix(fast: bool) -> str:
     return "_fast" if fast else ""
 
@@ -356,7 +388,7 @@ def _lenet_unit(fast: bool) -> TrainingUnit:
 def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact LeNet-5 trained on the synthetic digits (the paper's MNIST model)."""
     recipe = LENET_DIGITS_RECIPE
-    arch, schedule = recipe["arch"], recipe["schedule"]
+    arch = recipe["arch"]
     split = load_digits_split(recipe["dataset"]["test_fraction"], fast=fast)
 
     def build() -> Sequential:
@@ -369,26 +401,7 @@ def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
         )
 
     def train(model: Sequential) -> None:
-        optimizer = Adam(model.parameters(), lr=recipe["optimizer"]["lr"])
-        epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
-        train_classifier(
-            model,
-            optimizer,
-            split.train.images,
-            split.train.labels,
-            epochs=epochs,
-            batch_size=schedule["batch_size"],
-        )
-        if not fast:
-            optimizer.lr = schedule["fine_tune_lr"]
-            train_classifier(
-                model,
-                optimizer,
-                split.train.images,
-                split.train.labels,
-                epochs=schedule["fine_tune_epochs"],
-                batch_size=schedule["batch_size"],
-            )
+        _train_recipe(model, recipe, split, fast)
 
     return _cached_model(_lenet_unit(fast), build, train), split
 
@@ -410,38 +423,14 @@ def _alexnet_unit(fast: bool) -> TrainingUnit:
 def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact AlexNet trained on the synthetic objects (the paper's CIFAR-10 model)."""
     recipe = ALEXNET_OBJECTS_RECIPE
-    arch, optim, schedule = recipe["arch"], recipe["optimizer"], recipe["schedule"]
+    arch = recipe["arch"]
     split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
 
     def build() -> Sequential:
         return build_alexnet(split.train.input_shape, dropout=arch["dropout"], seed=arch["seed"])
 
     def train(model: Sequential) -> None:
-        optimizer = SGD(
-            model.parameters(),
-            lr=optim["lr"],
-            momentum=optim["momentum"],
-            weight_decay=optim["weight_decay"],
-        )
-        epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
-        train_classifier(
-            model,
-            optimizer,
-            split.train.images,
-            split.train.labels,
-            epochs=epochs,
-            batch_size=schedule["batch_size"],
-        )
-        if not fast:
-            optimizer.lr = schedule["fine_tune_lr"]
-            train_classifier(
-                model,
-                optimizer,
-                split.train.images,
-                split.train.labels,
-                epochs=schedule["fine_tune_epochs"],
-                batch_size=schedule["batch_size"],
-            )
+        _train_recipe(model, recipe, split, fast)
 
     return _cached_model(_alexnet_unit(fast), build, train), split
 
@@ -458,7 +447,6 @@ def _dq_unit(mode: str, bits: int, fast: bool) -> TrainingUnit:
 def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = None) -> Sequential:
     """One Defensive Quantization model (``mode`` is ``"full"`` or ``"weight"``)."""
     recipe = DQ_OBJECTS_RECIPE
-    schedule = recipe["schedule"]
     if split is None:
         split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
 
@@ -468,16 +456,7 @@ def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = Non
         )
 
     def train(model: Sequential) -> None:
-        optimizer = Adam(model.parameters(), lr=recipe["optimizer"]["lr"])
-        epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
-        train_classifier(
-            model,
-            optimizer,
-            split.train.images,
-            split.train.labels,
-            epochs=epochs,
-            batch_size=schedule["batch_size"],
-        )
+        _train_recipe(model, recipe, split, fast)
 
     return _cached_model(_dq_unit(mode, bits, fast), build, train)
 

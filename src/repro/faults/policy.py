@@ -74,7 +74,7 @@ def shard_timeout() -> Optional[float]:
 
 
 def shard_retries() -> int:
-    """Bounded retry budget per shard/cell (``REPRO_SHARD_RETRIES``)."""
+    """Bounded retry budget per shard or warm-up (``REPRO_SHARD_RETRIES``)."""
     return max(0, _int_env("REPRO_SHARD_RETRIES", DEFAULT_SHARD_RETRIES))
 
 

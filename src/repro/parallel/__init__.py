@@ -9,8 +9,9 @@ The subsystem sits between spec resolution and execution:
   examples; attacks draw per-example ``np.random.SeedSequence`` streams
   keyed by global victim index, so ``--jobs N`` *and* any shard size are
   bit-for-bit ``--jobs 1``;
-* :mod:`repro.parallel.engine` -- the process pool that executes shards and
-  merges them, with pre-fork model warm-up and per-process worker runners;
+* :mod:`repro.parallel.engine` -- the one cell executor: computes shards
+  in-process at ``jobs=1`` or on a process pool (pre-fork model warm-up,
+  per-process worker runners) at ``jobs > 1``, and merges them;
 * :mod:`repro.parallel.locks` -- advisory file locks and atomic tmp+rename
   writes that make the cell cache and the zoo ``.npz`` cache safe under
   concurrent workers and concurrent CLI invocations;

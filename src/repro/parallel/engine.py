@@ -1,12 +1,13 @@
-"""The process-pool execution engine behind ``Runner(jobs=N)``.
+"""The one cell executor behind every :class:`Runner`, whatever its ``jobs``.
 
 Planned cell tasks (see :mod:`repro.parallel.plan`) are expanded into their
-shard subtasks and scheduled onto a ``ProcessPoolExecutor``; the parent
-process merges each cell's ordered shard results, writes the artifact
-atomically and streams a progress event.  Because shard decomposition and
-per-shard RNG seeding are pure functions of cell content
-(:mod:`repro.parallel.sharding`), the pool produces bit-for-bit the same
-values as the serial path.
+shard subtasks.  With ``jobs > 1`` the shards are scheduled onto a
+``ProcessPoolExecutor``; with ``jobs == 1`` nothing forks and the parent
+computes every shard in-process, in task order.  Either way the parent
+merges each cell's ordered shard results, writes the artifact atomically and
+streams a progress event.  Because shard decomposition and per-shard RNG
+seeding are pure functions of cell content (:mod:`repro.parallel.sharding`),
+every ``jobs`` value produces bit-for-bit the same values.
 
 Coordination with *other* processes -- pool workers of a second CLI
 invocation or service job sharing the cache directory -- uses the writer
@@ -17,36 +18,40 @@ cache once the foreign writer publishes it, instead of being recomputed.  A
 foreign writer that crashes mid-cell loses its lease and the cell is
 computed here -- a wedged cache cannot outlive its writer.
 
-Fault tolerance (see ``docs/faults.md``): each shard runs under an optional
-wall-clock budget (``REPRO_SHARD_TIMEOUT``) and a bounded retry budget
-(``REPRO_SHARD_RETRIES``).  A worker that dies (segfault, OOM kill,
+Fault tolerance (see ``docs/faults.md``): every in-process step -- the
+warm-up, each shard at ``jobs == 1``, the shards of a degraded pool and of a
+taken-over cell -- runs under one bounded retry (``REPRO_SHARD_RETRIES``
+attempts after the first, with exponential backoff).  Pool shards run under
+the same budget plus an optional wall-clock deadline
+(``REPRO_SHARD_TIMEOUT``).  A worker that dies (segfault, OOM kill,
 injected ``worker.crash``) breaks the pool -- the engine respawns it and
 resubmits the lost shards with exponential backoff; a worker that wedges
 (injected ``shard.hang``, a stuck syscall) blows its shard's deadline, and
 since a running future cannot be cancelled the pool is killed outright and
 rebuilt.  After :data:`~repro.faults.policy.POOL_RESPAWN_LIMIT` rebuilds
-the engine stops trusting process isolation and degrades to computing the
-remaining shards serially in the parent -- slower, but the run completes
-with identical bits.  Every recovery action lands in the run telemetry's
-``faults`` counters, so a chaos run can *prove* what it survived.
+the engine stops trusting process isolation and computes the remaining
+shards in-process -- slower, but the run completes with identical bits.
+Every recovery action lands in the run telemetry's ``faults`` counters, so
+a chaos run can *prove* what it survived.
 
 Worker processes are started with an initialiser that imports the pipeline
-registries and builds a per-process serial :class:`Runner`; zoo models and
+registries and builds a per-process :class:`Runner`; zoo models and
 multiplier LUTs are resolved once per process (and, under the default
 ``fork`` start method, models the parent warmed up before the pool was
 created are inherited copy-on-write and never rebuilt at all).
 
-Zoo training phase: before that warm-up, the zoo *training units* the owned
-cells need (:func:`repro.experiments.zoo.zoo_units`, one per cached
-``.npz``) are checked on disk.  When two or more are missing they are
-trained on a separate fork pool of ``runner.jobs`` workers -- units start as
-soon as the units they wait for have published (a substitute waits for its
-LeNet) -- so the phase costs about its longest chain instead of the serial
-sum, and the warm-up then only loads.  A unit the pool fails to publish (a
-crashed worker -- ``worker.crash`` at key ``zoo:<unit>`` -- or an error) is
-counted in ``faults["zoo_fallbacks"]`` and trained by the warm-up in the
-parent exactly as on the serial path, with the same bits.  Before either
-pool forks, the parent builds or loads the native conv/pool kernels
+Zoo training phase (``jobs > 1`` only): before that warm-up, the zoo
+*training units* the owned cells need
+(:func:`repro.experiments.zoo.zoo_units`, one per cached ``.npz``) are
+checked on disk.  When two or more are missing they are trained on a
+separate fork pool of ``runner.jobs`` workers -- units start as soon as the
+units they wait for have published (a substitute waits for its LeNet) -- so
+the phase costs about its longest chain instead of the sum, and the warm-up
+then only loads.  A unit the pool fails to publish (a crashed worker --
+``worker.crash`` at key ``zoo:<unit>`` -- or an error) is counted in
+``faults["zoo_fallbacks"]`` and trained by the warm-up in the parent
+exactly as at ``jobs == 1``, with the same bits.  Before either pool forks,
+the parent builds or loads the native conv/pool kernels
 (:mod:`repro.nn.native`), so every worker inherits the loaded library, or
 the numpy fallback decision, instead of resolving its own.
 
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -83,6 +89,11 @@ from repro.store import Lease
 
 #: called with (task, outcome) as each cell completes
 OnCell = Callable[[CellTask, CellOutcome], None]
+
+#: held by every in-process shard: runs on several threads of one process
+#: (the service's job threads) share the memoised models, whose layers keep
+#: per-call state between forward and backward, so their shards take turns
+_SHARD_LOCK = threading.Lock()
 
 
 class CellExecutionError(RuntimeError):
@@ -106,6 +117,21 @@ class CellExecutionError(RuntimeError):
         self.digest = digest
         self.shard = shard
         self.owner = owner
+
+
+def _exhausted(
+    task: CellTask, shard: Optional[int], cause: str, attempts: int, exc: Optional[BaseException]
+) -> CellExecutionError:
+    """The error for a shard (or, with ``shard=None``, a warm-up) out of retries."""
+    step = "warm-up" if shard is None else f"shard {shard}"
+    return CellExecutionError(
+        f"{task.kind} cell {task.digest[:10]} {step} (owner {task.owner}) {cause} "
+        f"after {attempts} attempt(s)" + (f": {exc}" if exc is not None else ""),
+        kind=task.kind,
+        digest=task.digest,
+        shard=shard,
+        owner=task.owner,
+    )
 
 
 # ----------------------------------------------------------- worker side
@@ -304,7 +330,7 @@ class ParallelEngine:
         runner = self.runner
         missing = self._missing_units(tasks)
         if len(missing) < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return  # nothing to overlap: the warm-up trains as the serial path does
+            return  # nothing to overlap: the warm-up trains as it does at jobs == 1
         waits = {
             name: {dep.name for dep in unit.after} & set(missing) for name, unit in missing.items()
         }
@@ -379,10 +405,13 @@ class ParallelEngine:
         self, tasks: List[CellTask], leases: Dict[str, Lease], finish: OnCell
     ) -> None:
         runner = self.runner
-        native.BACKEND.kernels()  # build or load once here, before any pool forks
-        self._train_zoo(tasks)
-        for task in tasks:  # resolve shared models once, before the fork
-            get_cell_kind(task.kind).warm(runner, task.payload)
+        pooled = runner.jobs > 1
+        if pooled:
+            native.BACKEND.kernels()  # build or load once here, before any pool forks
+            self._train_zoo(tasks)
+        for task in tasks:  # resolve shared models once, before any fork
+            kind = get_cell_kind(task.kind)
+            self._retrying(task, None, lambda: kind.warm(runner, task.payload))
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         shard_values: Dict[str, List[Any]] = {t.digest: [None] * t.n_shards for t in tasks}
@@ -454,18 +483,7 @@ class ParallelEngine:
                         leases[digest] = fresh
                         runner.telemetry.count_fault("lease_reacquired")
 
-        def exhausted(run: _ShardRun, cause: str, exc: Optional[BaseException]) -> CellExecutionError:
-            return CellExecutionError(
-                f"{run.task.kind} cell {run.task.digest[:10]} shard {run.index} "
-                f"(owner {run.task.owner}) {cause} after {run.attempt + 1} attempt(s)"
-                + (f": {exc}" if exc is not None else ""),
-                kind=run.task.kind,
-                digest=run.task.digest,
-                shard=run.index,
-                owner=run.task.owner,
-            )
-
-        pool: Optional[ProcessPoolExecutor] = spawn_pool()
+        pool: Optional[ProcessPoolExecutor] = spawn_pool() if pooled else None
         inflight: Dict[Future, _ShardRun] = {}
         respawns = 0
 
@@ -478,15 +496,16 @@ class ParallelEngine:
 
         def retry(run: _ShardRun, cause: str, exc: Optional[BaseException]) -> None:
             if run.attempt >= retries:
-                raise exhausted(run, cause, exc) from exc
+                raise _exhausted(run.task, run.index, cause, run.attempt + 1, exc) from exc
             run.attempt += 1
             runner.telemetry.count_fault("shard_retries")
             submit(run)
 
         try:
-            for task in tasks:  # already cost-ordered by ExecutionPlan.scheduled
-                for index in range(task.n_shards):
-                    submit(_ShardRun(task, index))
+            if pool is not None:
+                for task in tasks:  # already cost-ordered by ExecutionPlan.scheduled
+                    for index in range(task.n_shards):
+                        submit(_ShardRun(task, index))
             while len(done_shards) < total_shards and pool is not None:
                 if not inflight:  # defensive: nothing running, nothing queued
                     break
@@ -567,41 +586,70 @@ class ParallelEngine:
             if pool is not None:
                 pool.shutdown(wait=True)
 
-        # graceful degradation: the pool kept dying, so the parent computes
-        # whatever is left itself.  compute_shard here has no crash/hang
-        # injection sites (those live in the worker-side _run_shard), so a
-        # chaos schedule cannot take the parent down with the workers.
-        if len(done_shards) < total_shards:
-            for task in tasks:
-                for index in range(task.n_shards):
-                    if (task.digest, index) in done_shards:
-                        continue
-                    start = perf_counter()
-                    with TRACER.span(
-                        "shard",
-                        cat="engine",
-                        kind=task.kind,
-                        digest=task.digest[:DIGEST_WIDTH],
-                        shard=index,
-                    ):
-                        value = get_cell_kind(task.kind).compute_shard(runner, task.payload, index)
-                    complete_shard(task, index, value, perf_counter() - start, None)
+        # in-process: every shard at jobs == 1, or whatever a pool that kept
+        # dying left over.  compute_shard here has no crash/hang injection
+        # sites (those live in the worker-side _run_shard), so a chaos
+        # schedule cannot take the parent down with the workers.
+        for task in tasks:
+            for index in range(task.n_shards):
+                if (task.digest, index) not in done_shards:
+                    value, seconds = self._shard_in_process(task, index)
+                    complete_shard(task, index, value, seconds, None)
+
+    def _retrying(self, task: CellTask, shard: Optional[int], step: Callable[[], Any]) -> Any:
+        """Run one in-process ``step`` of ``task`` under the bounded shard retry.
+
+        Serves the warm-up (``shard=None``), every shard at ``jobs == 1``,
+        the shards a dying pool left over and a taken-over cell's shards.  A
+        transient failure (an injected ``kernel.build_fail``, a flaky IO
+        error) gets ``REPRO_SHARD_RETRIES`` fresh attempts with backoff; a
+        deterministic bug exhausts them and raises
+        :class:`CellExecutionError` naming the cell, shard and owner.
+        """
+        retries = shard_retries()
+        attempt = 0
+        while True:
+            try:
+                return step()
+            except Exception as exc:
+                if attempt >= retries:
+                    raise _exhausted(task, shard, "failed", attempt + 1, exc) from exc
+                attempt += 1
+                self.runner.telemetry.count_fault("shard_retries")
+                time.sleep(backoff_seconds(attempt))
+
+    def _shard_in_process(self, task: CellTask, index: int) -> Tuple[Any, float]:
+        """Compute one shard in this process; returns ``(value, seconds)``."""
+        kind = get_cell_kind(task.kind)
+
+        def compute() -> Any:
+            with _SHARD_LOCK:
+                return kind.compute_shard(self.runner, task.payload, index)
+
+        start = perf_counter()
+        with TRACER.span(
+            "shard", cat="engine", kind=task.kind, digest=task.digest[:DIGEST_WIDTH], shard=index
+        ):
+            value = self._retrying(task, index, compute)
+        return value, perf_counter() - start
 
     def _collect_foreign(self, task: CellTask) -> CellOutcome:
         """Wait out another process computing ``task``, then read its artifact.
 
         Polls the artifact optimistically (we hold no leases by now, so this
         cannot deadlock).  If the foreign writer died without publishing, its
-        lease falls to us and the cell is computed serially here.
+        lease falls to us and the cell's shards are computed in-process here.
         """
+        runner = self.runner
         start = perf_counter()
-        value, lease = self.runner.store.wait_for(task.kind, task.digest)
+        value, lease = runner.store.wait_for(task.kind, task.digest)
         if value is not None:
             return CellOutcome(value, "hit", 0.0, task.n_shards)
         with lease:
-            value = self.runner.read_cell(task.kind, task.payload, task.digest)
+            value = runner.read_cell(task.kind, task.payload, task.digest)
             if value is not None:
                 return CellOutcome(value, "hit", 0.0, task.n_shards)
-            value = self.runner.compute_cell(task.kind, task.payload)
-            self.runner.write_cell(task.kind, task.digest, value, task.payload)
+            shards = [self._shard_in_process(task, i)[0] for i in range(task.n_shards)]
+            value = runner.merge_cell(task.kind, task.payload, shards)
+            runner.write_cell(task.kind, task.digest, value, task.payload)
             return CellOutcome(value, "computed", perf_counter() - start, task.n_shards)

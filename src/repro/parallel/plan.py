@@ -8,9 +8,8 @@ onto the same task, so each cell is computed exactly once per run no matter
 how many experiments reference it; the first referencing experiment *owns*
 the task for cache-accounting purposes.
 
-The plan is what both execution paths consume: the serial loop in
-:meth:`Runner.run_many` and the process pool in
-:class:`repro.parallel.engine.ParallelEngine`.
+The plan is what :class:`repro.parallel.engine.ParallelEngine`, the one
+cell executor, consumes at every ``jobs`` value.
 """
 
 from __future__ import annotations

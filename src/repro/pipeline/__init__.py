@@ -9,8 +9,8 @@ The pipeline turns the repository's experiments into data:
   attack-evaluation kinds;
 * :mod:`repro.pipeline.runner` -- the :class:`Runner` that resolves specs
   through the unified registries and executes them with per-cell artifact
-  caching, serially or on the :mod:`repro.parallel` process pool
-  (``jobs=N``, bit-for-bit identical to serial);
+  caching through the :mod:`repro.parallel` engine, in-process or on its
+  process pool (``jobs=N``, bit-for-bit identical to ``jobs=1``);
 * :mod:`repro.pipeline.handlers` -- one plan/assemble strategy per
   experiment kind (transferability, blackbox, whitebox, accuracy, ...);
 * :mod:`repro.pipeline.catalog` -- the named spec for every paper table and

@@ -103,14 +103,6 @@ class CellKind:
         """Fold ordered shard results into the cell value."""
         return self.merge_fn(payload, shards)
 
-    def compute(self, runner, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """The canonical (serial) cell computation: every shard, in order."""
-        shards = [
-            self.compute_shard(runner, payload, i)
-            for i in range(self.n_shards(runner, payload))
-        ]
-        return self.merge(payload, shards)
-
     def warm(self, runner, payload: Dict[str, Any]) -> None:
         """Resolve the models/LUTs the cell needs (pre-fork warm-up)."""
         if self.warm_fn is not None:

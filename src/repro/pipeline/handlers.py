@@ -13,10 +13,8 @@ Every paper experiment shape is one :class:`KindHandler` registered in the
 The split is what the :mod:`repro.parallel` engine schedules against: all
 experiments' cells are planned up front, deduplicated by content digest
 (Figures 8/9 and 10/11 run the same white-box grid and recompute nothing) and
-computed serially or on the worker pool; the actual cell computations live in
-:mod:`repro.pipeline.cells`.  A plain function registered as an experiment
-kind (the historical protocol) still works -- it executes serially through
-:meth:`Runner.cell`.
+computed in-process or on the worker pool; the actual cell computations live
+in :mod:`repro.pipeline.cells`.
 """
 
 from __future__ import annotations
@@ -42,19 +40,10 @@ AssembleFn = Callable[[Runner, ExperimentSpec, Dict[Any, Any]], Handler]
 
 @dataclass(frozen=True)
 class KindHandler:
-    """Plan/assemble pair for one experiment kind.
-
-    Calling the handler directly executes the experiment serially (plan,
-    compute each cell through :meth:`Runner.cell`, assemble) -- the
-    compatibility path for code that invokes a kind's factory by hand.
-    """
+    """Plan/assemble pair for one experiment kind."""
 
     plan: PlanFn
     assemble: AssembleFn
-
-    def __call__(self, runner: Runner, spec: ExperimentSpec) -> Handler:
-        cells = {req.key: runner.cell(req.kind, req.payload) for req in self.plan(runner, spec)}
-        return self.assemble(runner, spec, cells)
 
 
 def register_kind(name: str, plan: PlanFn, assemble: AssembleFn) -> KindHandler:

@@ -12,10 +12,10 @@ behind ``python -m repro run``.  It
   (:mod:`repro.parallel.plan`): sibling experiments that share cells
   (Figures 8/9 and 10/11 share their white-box runs) compute each cell
   exactly once per run and hit its cached JSON artifact forever after,
-* executes the cells serially or -- with ``jobs > 1`` -- on the sharded
-  process pool of :mod:`repro.parallel.engine`, bit-for-bit identically
-  (per-shard RNG seeds are spawned from cell content, never from the worker
-  layout),
+* executes the cells through :mod:`repro.parallel.engine`, the one cell
+  executor: in this process with ``jobs=1``, on a sharded process pool with
+  ``jobs > 1``, bit-for-bit identically (per-shard RNG seeds are spawned
+  from cell content, never from the worker layout),
 * emits an :class:`ExperimentResult` carrying the paper-style text table,
   machine-readable metrics and the run's cell telemetry, and can persist both
   as ``results/<name>.txt`` / ``results/<name>.json`` (written atomically).
@@ -40,7 +40,7 @@ from repro.attacks.base import Attack, Classifier
 from repro.attacks.registry import ATTACKS
 from repro.core.results import format_table
 from repro.experiments.zoo import CACHE_DIR, ZOO
-from repro.faults import RunManifest, backoff_seconds, shard_retries
+from repro.faults import RunManifest
 from repro.nn.models import VARIANTS
 from repro.obs import TRACER
 from repro.parallel.locks import atomic_write_text
@@ -197,8 +197,9 @@ class Runner:
         Optional callable receiving human-readable progress lines.
     jobs:
         Worker processes for cell execution: an integer, or ``"auto"`` for
-        the CPU count.  ``jobs=1`` (the default) executes serially in this
-        process; any value produces bit-for-bit identical results.
+        the CPU count.  ``jobs=1`` (the default) computes every cell in this
+        process and forks nothing; any value produces bit-for-bit identical
+        results.
     shard_size:
         Victim examples per shard (= per batched attack rollout) of the
         attack-evaluation cells.  Execution tuning only: results are
@@ -420,10 +421,7 @@ class Runner:
 
     def _compute_cells(self, plan) -> Dict[str, Any]:
         """Materialise every unique planned cell; returns digest -> outcome."""
-        from repro.parallel.plan import CellOutcome  # noqa: F401 (typing aid)
-
-        tasks = plan.scheduled()
-        outcomes: Dict[str, Any] = {}
+        from repro.parallel.engine import ParallelEngine
 
         def record(task, outcome) -> None:
             event = self.telemetry.record(
@@ -446,28 +444,7 @@ class Runner:
             if self.on_cell is not None:
                 self.on_cell(event)
 
-        if not tasks:
-            return outcomes
-        if self.jobs > 1:
-            from repro.parallel.engine import ParallelEngine
-
-            outcomes = ParallelEngine(self).execute(tasks, on_cell=record)
-        else:
-            from repro.parallel.telemetry import DIGEST_WIDTH
-
-            for task in tasks:
-                with TRACER.span(
-                    "cell",
-                    cat="runner",
-                    kind=task.kind,
-                    digest=task.digest[:DIGEST_WIDTH],
-                    experiment=task.owner,
-                ) as span:
-                    outcome = self._execute_cell(task.kind, task.payload, task.digest)
-                    span["status"] = outcome.status
-                    span["shards"] = outcome.shards
-                outcomes[task.digest] = outcome
-                record(task, outcome)
+        outcomes = ParallelEngine(self).execute(plan.scheduled(), on_cell=record)
         self.cache_hits += sum(1 for o in outcomes.values() if o.status == "hit")
         self.cache_misses += sum(1 for o in outcomes.values() if o.status == "computed")
         return outcomes
@@ -647,10 +624,6 @@ class Runner:
             "deps": self.cell_fingerprints(cell_kind, payload),
         }
 
-    def cell_path(self, cell_kind: str, digest: str) -> Path:
-        """Where the cell's JSON artifact lives."""
-        return self.store.path(cell_kind, digest)
-
     def read_cell(self, cell_kind: str, payload: Dict[str, Any], digest: str) -> Optional[Any]:
         """The cached cell value, or ``None`` (cache off / absent / corrupt).
 
@@ -677,94 +650,9 @@ class Runner:
             meta = self.cell_meta(cell_kind, payload) if payload is not None else None
             self.store.put(cell_kind, digest, value, meta=meta)
 
-    def compute_cell(self, cell_kind: str, payload: Dict[str, Any]) -> Any:
-        """Compute a cell in-process through its registered kind (no cache IO)."""
-        return _jsonable(get_cell_kind(cell_kind).compute(self, payload))
-
     def merge_cell(self, cell_kind: str, payload: Dict[str, Any], shards: List[Any]) -> Any:
         """Fold ordered shard results into the published cell value."""
         return _jsonable(get_cell_kind(cell_kind).merge(payload, shards))
-
-    def _execute_cell(self, cell_kind: str, payload: Dict[str, Any], digest: str):
-        """Materialise one cell under its writer lease (serial path).
-
-        The store's lease protocol makes concurrent clients sharing the cache
-        directory cooperate: whoever claims the lease computes, everyone else
-        polls and reads the published artifact lock-free; a writer that dies
-        mid-computation is taken over instead of wedging the cell.
-        """
-        from repro.parallel.plan import CellOutcome
-
-        shards = get_cell_kind(cell_kind).n_shards(self, payload)
-        value = self.read_cell(cell_kind, payload, digest)
-        if value is not None:
-            return CellOutcome(value, "hit", 0.0, shards)
-
-        def produce_once() -> Any:
-            self._log(f"  cell: computing {cell_kind} {digest[:10]}")
-            return self.compute_cell(cell_kind, payload)
-
-        def produce() -> Any:
-            # bounded retry with backoff -- the serial twin of the pool
-            # engine's shard retries.  Transient failures (an injected
-            # kernel.build_fail, a flaky IO error) get REPRO_SHARD_RETRIES
-            # fresh attempts; a deterministic bug exhausts the budget and
-            # surfaces as CellExecutionError with the cell's identity.
-            from repro.parallel.engine import CellExecutionError
-
-            budget = shard_retries()
-            attempt = 0
-            while True:
-                try:
-                    return produce_once()
-                except Exception as exc:
-                    if attempt >= budget:
-                        raise CellExecutionError(
-                            f"{cell_kind} cell {digest[:10]} failed after "
-                            f"{attempt + 1} attempt(s): {exc}",
-                            kind=cell_kind,
-                            digest=digest,
-                        ) from exc
-                    attempt += 1
-                    self.telemetry.count_fault("shard_retries")
-                    self._log(
-                        f"  cell: {cell_kind} {digest[:10]} failed ({exc}); "
-                        f"retry {attempt}/{budget}"
-                    )
-                    time.sleep(backoff_seconds(attempt))
-
-        start = time.perf_counter()
-        if not self.use_cache:
-            return CellOutcome(produce(), "computed", time.perf_counter() - start, shards)
-        lease = self.store.try_lease(cell_kind, digest)
-        if lease is None:  # a foreign writer is computing this cell right now
-            value, lease = self.store.wait_for(cell_kind, digest)
-            if value is not None:
-                return CellOutcome(value, "hit", time.perf_counter() - start, shards)
-            # the writer vanished without publishing; we hold its lease now
-        try:
-            value = self.store.get(cell_kind, digest)
-            if value is not None:  # published between the read and the claim
-                return CellOutcome(value, "hit", time.perf_counter() - start, shards)
-            value = produce()
-            self.write_cell(cell_kind, digest, value, payload)
-        finally:
-            lease.release()
-        return CellOutcome(value, "computed", time.perf_counter() - start, shards)
-
-    def cell(self, cell_kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Compute one grid cell, caching its JSON artifact on disk.
-
-        The computation is resolved from the ``"cell-kind"`` registry
-        (:mod:`repro.pipeline.cells`).
-        """
-        digest = self.cell_digest(cell_kind, payload)
-        outcome = self._execute_cell(cell_kind, payload, digest)
-        if outcome.status == "hit":
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
-        return outcome.value
 
 
 # ------------------------------------------------------------------ helpers

@@ -10,6 +10,7 @@ import asyncio
 import json
 import multiprocessing
 import pickle
+import shutil
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.faults import (
     FAULT_STATS,
     FAULTS,
     FaultInjector,
+    FaultSpec,
     InjectedFault,
     RunManifest,
     backoff_seconds,
@@ -33,8 +35,10 @@ from repro.faults import (
     shard_retries,
     shard_timeout,
 )
+from repro.nn import native
 from repro.parallel.engine import CellExecutionError
-from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, ExperimentSpec, Runner
+from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, CellKind, ExperimentSpec, Runner
+from repro.pipeline.runner import clear_model_caches
 from repro.service.jobs import JobQueue
 from repro.store import ArtifactStore
 
@@ -48,6 +52,9 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAS_FORK, reason="chaos pool tests need fork to inherit the armed injector"
 )
+
+#: without a compiler no fused-GEMM kernel is built, so its fault site never runs
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc) on PATH")
 
 
 @pytest.fixture(autouse=True)
@@ -221,6 +228,9 @@ def test_manifest_roundtrip(tmp_path):
 
 # ------------------------------------------------------------ injection sites
 def test_kernel_build_fail_fires_once_then_heals():
+    # resolved before arming: at probability 1.0 a first resolution would
+    # also fire at native:<DIGEST> and leave the process without the library
+    native.BACKEND.kernels()
     FAULTS.configure("kernel.build_fail:1.0")
     with pytest.raises(InjectedFault):
         FusedLutGemmKernel(AxFPM(frac_bits=8))
@@ -332,6 +342,83 @@ def test_cli_reports_failing_cell_and_resume_hint(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "error: energy cell" in err and "crashed" in err
     assert "--resume" in err  # the operator knows the way out
+
+
+def _axfpm_build_fail_seed() -> int:
+    """A ``kernel.build_fail:0.5`` seed that fires at the Ax-FPM kernel only.
+
+    Searched rather than pinned: it must not fire at ``native:<DIGEST>``
+    (that would put the process on the numpy path instead), and the digest
+    moves whenever the C source does.
+    """
+    for seed in range(1000):
+        spec = FaultSpec("kernel.build_fail", 0.5, seed)
+        if FaultInjector._decide(spec, "axfpm") and not FaultInjector._decide(
+            spec, f"native:{native.DIGEST}"
+        ):
+            return seed
+    raise AssertionError("no seed fires at axfpm alone")
+
+
+@needs_cc
+@needs_fork
+def test_kernel_build_fault_in_the_warm_up_heals_at_every_jobs_value(tmp_path, tiny_zoo_entry):
+    # the DA victim's fused-GEMM kernels are first built by the warm-up, so
+    # that is where the fault fires; the warm-up's retry must heal it at
+    # jobs=1 (in-process) and jobs=2 (before the pool forks) alike
+    spec = ExperimentSpec(
+        name="faults_da_whitebox",
+        kind="whitebox",
+        model=tiny_zoo_entry,
+        variants=("exact", "da"),
+        attacks=(("PGD", "pgd", {"epsilon": 0.1, "steps": 3}),),
+        n_samples=4,
+    )
+    assert native.BACKEND.kernels() is not None  # the fused kernels need the library
+    clear_model_caches()
+    clean = make_runner(tmp_path, use_cache=False, shard_size=2).run(spec)
+    seed = _axfpm_build_fail_seed()
+    for jobs in (1, 2):
+        clear_model_caches()  # a fresh DA variant, whose kernels build again
+        FAULTS.configure(f"kernel.build_fail:0.5:{seed}")
+        mark = FAULT_STATS.snapshot()
+        runner = make_runner(tmp_path, jobs=jobs, use_cache=False, shard_size=2)
+        result = runner.run(spec)
+        assert FAULT_STATS.delta(mark)["kernel_build_fail"] == 1, jobs
+        assert runner.telemetry.faults["shard_retries"] == 1, jobs
+        assert deterministic_json(result) == deterministic_json(clean), jobs
+
+
+def test_in_process_cell_out_of_retries_names_its_shard_and_owner(
+    tmp_path, monkeypatch, tiny_zoo_entry
+):
+    monkeypatch.setenv("REPRO_SHARD_RETRIES", "2")
+    attempts = []
+    compute_shard = CellKind.compute_shard
+
+    def counted(self, runner, payload, shard_index):
+        attempts.append(shard_index)
+        return compute_shard(self, runner, payload, shard_index)
+
+    monkeypatch.setattr(CellKind, "compute_shard", counted)
+    broken = ExperimentSpec(
+        name="faults_always_failing",
+        kind="whitebox",
+        model=tiny_zoo_entry,
+        variants=("exact",),
+        attacks=(("Nope", "no_such_attack", {}),),
+        n_samples=2,
+    )
+    runner = make_runner(tmp_path, jobs=1)
+    with pytest.raises(CellExecutionError) as excinfo:
+        runner.run(broken)
+    error = excinfo.value
+    assert error.kind == "whitebox"
+    assert error.shard == 0
+    assert error.owner == "faults_always_failing"
+    assert attempts == [0, 0, 0]  # REPRO_SHARD_RETRIES + 1
+    assert runner.telemetry.faults["shard_retries"] == 2
+    assert "after 3 attempt(s)" in str(error) and "no_such_attack" in str(error)
 
 
 # -------------------------------------------------------- manifests & resume

