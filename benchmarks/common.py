@@ -1,58 +1,17 @@
-"""Shared infrastructure for the benchmark harnesses.
+"""Shared helpers of the ``perf_*.py`` performance harnesses.
 
-Every benchmark regenerates one table or figure of the paper by executing the
-corresponding declarative spec from :mod:`repro.pipeline.catalog` through the
-:class:`~repro.pipeline.runner.Runner`.  Models come from the disk-cached zoo
-(so the first run trains them once) and grid cells are cached as JSON
-artifacts (so re-runs are fast; set ``REPRO_PIPELINE_NO_CACHE=1`` to force
-recomputation after behavioural changes).  Each harness persists the
-paper-style text table and a machine-readable JSON result under
-``benchmarks/results/`` -- the same schema ``python -m repro run`` writes --
-so the performance / robustness trajectory can be tracked across PRs.
-
-All 17 harnesses execute through one shared runner whose worker count comes
-from the ``REPRO_JOBS`` environment variable (``auto`` -- every available
-core -- by default): uncached grid cells shard across a process pool exactly
-as under ``python -m repro run --jobs N``, and results are bit-for-bit
-independent of the worker count.
+Each harness records one ``BENCH_*.json`` file.  :func:`provenance` stamps
+the record with the commit and core count it was measured on, and
+:func:`load_baseline` plus :func:`check_regression` gate a fresh record's
+speedup ratios against the committed one (``--check``).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 from pathlib import Path
 from typing import Optional
-
-from repro.pipeline import ExperimentResult, Runner
-
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-#: one shared runner per pytest session; trained models are memoised
-#: in-process and uncached cells spread over ``REPRO_JOBS`` workers
-RUNNER = Runner(jobs=os.environ.get("REPRO_JOBS", "auto"))
-
-
-def run_experiment(name: str) -> ExperimentResult:
-    """Execute one catalog experiment through the pipeline."""
-    return RUNNER.run(name)
-
-
-def report(experiment: str, text: str) -> str:
-    """Print a result block and persist its text table under ``benchmarks/results``."""
-    banner = f"\n===== {experiment} =====\n{text}\n"
-    print(banner)
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{experiment}.txt").write_text(text + "\n")
-    return banner
-
-
-def report_result(result: ExperimentResult) -> str:
-    """Print a pipeline result and persist ``<name>.txt`` + ``<name>.json``."""
-    banner = report(result.name, result.table)
-    result.write(RESULTS_DIR)  # overwrites the .txt with identical content + adds .json
-    return banner
 
 
 def provenance() -> dict:

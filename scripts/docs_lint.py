@@ -27,7 +27,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ENV_DOC = REPO / "docs" / "environment.md"
 
-#: where env-var reads live; benchmarks own REPRO_JOBS
+#: where env-var reads live: the program and its perf harnesses
 SOURCE_DIRS = ("src", "benchmarks")
 
 ENV_RE = re.compile(r"REPRO_[A-Z]+(?:_[A-Z]+)*")

@@ -14,7 +14,10 @@ Commands
 ``run <experiment> [...] [--fast] [--jobs N] [--resume] [--remote URL]``
     Execute experiments through the :class:`~repro.pipeline.runner.Runner`,
     printing the paper-style table and writing ``results/<name>.txt`` and
-    ``results/<name>.json``.  ``run all`` executes the whole catalog.
+    ``results/<name>.json``.  ``run all`` executes the whole catalog.  The
+    run summary ends with ``# paper claims: N/M hold`` and one line per
+    violated claim (see :func:`repro.pipeline.catalog.check_claims`); a
+    violation is reported, not an error, and leaves the exit status alone.
     ``--fast`` switches to the smoke-test profile (small zoo models, few
     attack samples, scaled-down attack iterations).  ``--jobs`` shards the
     run's grid cells (and, within the attack cells, the victim examples)
@@ -56,6 +59,7 @@ from typing import List, Optional
 
 from repro.parallel.engine import CellExecutionError
 from repro.pipeline import EXPERIMENTS, Runner, get_experiment, list_experiments
+from repro.pipeline.catalog import check_claims
 from repro.registry import RegistryError
 
 
@@ -337,7 +341,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{result.cache_misses} computed)"
         )
 
-    runner.run_many(names, on_result=show)
+    results = runner.run_many(names, on_result=show)
     telemetry = runner.telemetry
     if telemetry.trace is not None:
         print(
@@ -387,6 +391,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{queries['gradient_calls']} calls "
             f"(mean batch {queries['mean_gradient_batch']})"
         )
+    verdicts = [
+        (result.name, verdict)
+        for result in results
+        for verdict in check_claims(result.name, result.fast, result.metrics)
+    ]
+    print(f"# paper claims: {sum(v.held for _, v in verdicts)}/{len(verdicts)} hold")
+    for name, verdict in verdicts:
+        if not verdict.held:
+            cause = f" ({verdict.error})" if verdict.error else ""
+            print(f"#   violated: {name}: {verdict.text}{cause}")
     return 0
 
 

@@ -8,7 +8,7 @@
 * :mod:`repro.core.confidence` -- classification-confidence analysis (Figure 12).
 * :mod:`repro.core.metrics` -- image distance metrics (L0/L2/Linf, MSE, PSNR).
 * :mod:`repro.core.results` -- small table/report formatting helpers shared by
-  the benchmarks and examples.
+  the pipeline and the examples.
 """
 
 #: numerics version of the evaluation harnesses (victim selection, success

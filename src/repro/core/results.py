@@ -1,4 +1,4 @@
-"""Small result-formatting helpers shared by benchmarks and examples."""
+"""Small result-formatting helpers shared by the pipeline and the examples."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from typing import Iterable, List, Sequence
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Render a plain-text table with aligned columns.
 
-    Used by the benchmark harnesses to print the same rows the paper's tables
-    report (the values come from our simulator, the layout mirrors the paper).
+    Renders the same rows the paper's tables report (the values come from
+    our simulator, the layout mirrors the paper).
     """
     str_rows: List[List[str]] = [[str(h) for h in headers]]
     for row in rows:
@@ -30,5 +30,9 @@ def _format_cell(cell: object) -> str:
 
 
 def format_percentage(value: float) -> str:
-    """Format a 0..1 fraction as a percentage string (paper-table style)."""
-    return f"{100.0 * value:.0f}%"
+    """Format a 0..1 fraction as a percentage string: ``0.42 -> "42%"``.
+
+    ``float(value)`` first, so a numpy scalar renders the same bytes as the
+    Python float it equals.
+    """
+    return f"{100.0 * float(value):.0f}%"

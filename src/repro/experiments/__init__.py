@@ -1,9 +1,9 @@
-"""Experiment infrastructure shared by the benchmarks and the examples.
+"""Experiment infrastructure shared by the pipeline and the examples.
 
 :mod:`repro.experiments.zoo` trains (and disk-caches) the paper's benchmark
 models on the synthetic datasets: the exact LeNet-5 digit classifier, the
 exact AlexNet object classifier, and the Defensive Quantization variants.
-Every benchmark and example pulls its models from here so the expensive
+Every experiment and example pulls its models from here so the expensive
 training happens at most once per machine.
 """
 

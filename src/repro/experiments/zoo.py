@@ -4,7 +4,7 @@ The paper's experiments start from pre-trained exact classifiers (LeNet-5 on
 MNIST, AlexNet on CIFAR-10).  This module plays that role for the synthetic
 datasets: models are trained once, their parameters are cached under
 ``~/.cache/repro-da`` (override with the ``REPRO_DA_CACHE`` environment
-variable), and every benchmark / example reuses them.
+variable), and every experiment / example reuses them.
 
 The configurations here are the calibrated "paper models" of this
 reproduction: they reach high clean accuracy and, once converted to DA, lose

@@ -16,7 +16,10 @@ leases of :mod:`repro.store`: each cell is computed under its digest lease
 cell being computed elsewhere is *deferred* here and collected from the
 cache once the foreign writer publishes it, instead of being recomputed.  A
 foreign writer that crashes mid-cell loses its lease and the cell is
-computed here -- a wedged cache cannot outlive its writer.
+computed here -- a wedged cache cannot outlive its writer.  Leases are
+claimed only after the native build, the zoo training and the warm-up of
+every cell that missed the cache, so a lease's TTL bounds shard compute,
+never a cold zoo's training.
 
 Fault tolerance (see ``docs/faults.md``): every in-process step -- the
 warm-up, each shard at ``jobs == 1``, the shards of a degraded pool and of a
@@ -41,7 +44,7 @@ multiplier LUTs are resolved once per process (and, under the default
 created are inherited copy-on-write and never rebuilt at all).
 
 Zoo training phase (``jobs > 1`` only): before that warm-up, the zoo
-*training units* the owned cells need
+*training units* the cells that missed the cache need
 (:func:`repro.experiments.zoo.zoo_units`, one per cached ``.npz``) are
 checked on disk.  When two or more are missing they are trained on a
 separate fork pool of ``runner.jobs`` workers -- units start as soon as the
@@ -278,8 +281,17 @@ class ParallelEngine:
         if not pending:
             return outcomes
 
-        # claim each missing cell's writer lease; cells already being computed
-        # by another process are deferred and harvested from its artifact
+        if self.runner.jobs > 1:
+            native.BACKEND.kernels()  # build or load once here, before any pool forks
+            self._train_zoo(pending)
+        for task in pending:  # resolve shared models once, before any fork
+            kind = get_cell_kind(task.kind)
+            self._retrying(task, None, lambda: kind.warm(self.runner, task.payload))
+
+        # claim each missing cell's writer lease only now, so a lease's TTL
+        # covers shard compute, never the cold zoo training of the warm-up;
+        # cells already being computed by another process are deferred and
+        # harvested from its artifact
         owned: List[CellTask] = []
         deferred: List[CellTask] = []
         leases: Dict[str, Lease] = {}
@@ -292,7 +304,7 @@ class ParallelEngine:
                 deferred.append(task)
                 continue
             value = self.runner.read_cell(task.kind, task.payload, task.digest)
-            if value is not None:  # published while we were acquiring
+            if value is not None:  # published meanwhile by another process
                 lease.release()
                 finish(task, CellOutcome(value, "hit", 0.0, task.n_shards))
             else:
@@ -406,12 +418,6 @@ class ParallelEngine:
     ) -> None:
         runner = self.runner
         pooled = runner.jobs > 1
-        if pooled:
-            native.BACKEND.kernels()  # build or load once here, before any pool forks
-            self._train_zoo(tasks)
-        for task in tasks:  # resolve shared models once, before any fork
-            kind = get_cell_kind(task.kind)
-            self._retrying(task, None, lambda: kind.warm(runner, task.payload))
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         shard_values: Dict[str, List[Any]] = {t.digest: [None] * t.n_shards for t in tasks}

@@ -14,7 +14,8 @@ The pipeline turns the repository's experiments into data:
 * :mod:`repro.pipeline.handlers` -- one plan/assemble strategy per
   experiment kind (transferability, blackbox, whitebox, accuracy, ...);
 * :mod:`repro.pipeline.catalog` -- the named spec for every paper table and
-  figure (what ``python -m repro list`` enumerates).
+  figure (what ``python -m repro list`` enumerates), each registered with
+  the paper claims its result is checked against.
 
 Quickstart::
 

@@ -8,7 +8,8 @@ Every paper experiment shape is one :class:`KindHandler` registered in the
   construction, no model is resolved and nothing is computed;
 * ``assemble(runner, spec, cells)`` turns the materialised cell values back
   into ``(headers, rows, metrics)``: the paper-style table plus a JSON-able
-  metrics tree that the benchmarks assert against.
+  metrics tree that the catalog's paper claims are checked against
+  (:func:`repro.pipeline.catalog.check_claims`).
 
 The split is what the :mod:`repro.parallel` engine schedules against: all
 experiments' cells are planned up front, deduplicated by content digest
@@ -24,13 +25,9 @@ from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.results import format_percentage
 from repro.pipeline.cells import CellRequest
-from repro.pipeline.runner import (
-    EXPERIMENT_KINDS,
-    Runner,
-    percentage,
-    variant_labels,
-)
+from repro.pipeline.runner import EXPERIMENT_KINDS, Runner, variant_labels
 from repro.pipeline.spec import ExperimentSpec
 
 Handler = Tuple[List[str], List[List[Any]], Dict[str, Any]]
@@ -90,7 +87,7 @@ def assemble_transferability(
         spec.params.get("headers") or ["Attack method"] + variant_labels(spec, spec.variants)
     )
     rows = [
-        [entry.label] + [percentage(cells[entry.label]["targets"][v]) for v in spec.variants]
+        [entry.label] + [format_percentage(cells[entry.label]["targets"][v]) for v in spec.variants]
         for entry in spec.attacks
     ]
     mean_success = {
@@ -127,7 +124,7 @@ def assemble_blackbox(runner: Runner, spec: ExperimentSpec, cells: Dict[Any, Any
     )
     rows = [
         [entry.label]
-        + [percentage(nested[entry.label][v]["victim_success_rate"]) for v in spec.variants]
+        + [format_percentage(nested[entry.label][v]["victim_success_rate"]) for v in spec.variants]
         for entry in spec.attacks
     ]
     mean_success = {
@@ -141,7 +138,7 @@ register_kind("blackbox", plan_blackbox, assemble_blackbox)
 
 
 _WHITEBOX_COLUMNS = {
-    "success": ("Success", lambda cell: percentage(cell["success_rate"])),
+    "success": ("Success", lambda cell: format_percentage(cell["success_rate"])),
     "l2": ("Mean L2", lambda cell: cell["mean_l2"]),
     "mse": ("Mean MSE", lambda cell: cell["mean_mse"]),
     "psnr": ("Mean PSNR (dB)", lambda cell: cell["mean_psnr"]),

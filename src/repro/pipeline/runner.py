@@ -1,7 +1,7 @@
 """The experiment runner: resolves declarative specs and executes them.
 
-The :class:`Runner` is the single execution engine behind every benchmark and
-behind ``python -m repro run``.  It
+The :class:`Runner` is the single execution engine behind ``python -m repro
+run``, the service and the perf harnesses.  It
 
 * resolves every string in an :class:`~repro.pipeline.spec.ExperimentSpec`
   through the unified registries (zoo models, hardware variants, attacks,
@@ -656,11 +656,6 @@ class Runner:
 
 
 # ------------------------------------------------------------------ helpers
-def percentage(value: float) -> str:
-    """``0.42 -> "42%"`` (paper-table formatting)."""
-    return f"{100.0 * float(value):.0f}%"
-
-
 def variant_labels(spec: ExperimentSpec, names: Sequence[str]) -> List[str]:
     """Display labels for variant names (spec.params['variant_labels'] wins)."""
     labels = dict(spec.params.get("variant_labels", {}))

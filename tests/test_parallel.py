@@ -162,6 +162,25 @@ def test_prewarmed_cache_yields_zero_misses_under_jobs(tmp_path):
     assert all(result.cache_misses == 0 for result in results)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_leases_are_claimed_after_the_warm_up(tmp_path, monkeypatch, jobs):
+    # the warm-up may train a cold zoo for minutes: a cell lease held through
+    # it could outlive its TTL and let a second process sharing the store
+    # compute the cell again
+    from repro.pipeline import CellKind
+
+    warm = CellKind.warm
+    held = []
+
+    def probe(self, runner, payload):
+        held.append(runner.store.lease_holder(self.name, runner.cell_digest(self.name, payload)))
+        warm(self, runner, payload)
+
+    monkeypatch.setattr(CellKind, "warm", probe)
+    make_runner(tmp_path, jobs=jobs).run("fig04_approx_convolution")
+    assert held == [None]
+
+
 # ------------------------------------------- sharded attack-evaluation cells
 @pytest.fixture()
 def tiny_zoo_entry(tiny_model, digit_split):
