@@ -148,4 +148,4 @@ def bfloat16_truncate(x: np.ndarray) -> np.ndarray:
     x32 = np.ascontiguousarray(x, dtype=np.float32)
     bits = x32.view(np.uint32)
     truncated = bits & np.uint32(0xFFFF0000)
-    return truncated.view(np.float32).copy()
+    return truncated.view(np.float32)

@@ -119,7 +119,7 @@ class Bfloat16Multiplier(Multiplier):
         product = bfloat16_truncate(a) * bfloat16_truncate(b)
         if self.truncate_output:
             product = bfloat16_truncate(product)
-        return product.astype(np.float32)
+        return product.astype(np.float32, copy=False)
 
 
 class ApproxFPM(Multiplier):

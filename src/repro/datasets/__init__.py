@@ -18,7 +18,8 @@ exercise the same code paths end to end (see DESIGN.md, "Substitutions").
 #: numerics version of the procedural dataset generators.  Bump when the
 #: generated pixels change (glyph rendering, jitter distributions, split
 #: logic); cells that consume dataset samples declare a ``"datasets"``
-#: dependency and re-key on it.
+#: dependency and re-key on it, and the zoo's cached splits
+#: (``<zoo cache>/splits/``) are regenerated under new names.
 DATASET_NUMERICS_VERSION = 1
 
 from repro.datasets.digits import generate_digits, render_digit

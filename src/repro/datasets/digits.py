@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.datasets.loader import Dataset
 
@@ -56,6 +55,10 @@ def render_digit(
         raise ValueError(f"digit must be in 0..9, got {digit}")
     if size < 10:
         raise ValueError("size must be >= 10")
+    # imported here: scipy.ndimage takes ~0.35 s to import, and a process
+    # over a warm zoo cache renders nothing
+    from scipy import ndimage
+
     rng = rng or np.random.default_rng(0)
     glyph = _glyph_array(digit)
 

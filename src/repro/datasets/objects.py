@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.datasets.loader import Dataset
 
@@ -89,6 +88,10 @@ def render_object(
         raise ValueError(f"class_id must be in 0..{len(OBJECT_CLASS_NAMES) - 1}")
     if size < 12:
         raise ValueError("size must be >= 12")
+    # imported here: scipy.ndimage takes ~0.35 s to import, and a process
+    # over a warm zoo cache renders nothing
+    from scipy import ndimage
+
     rng = rng or np.random.default_rng(0)
 
     mask = _shape_mask(class_id, size, rng)

@@ -34,6 +34,10 @@ units of a cold zoo concurrently on a fork pool before it resolves any model
 and atomic write, so pool, parent and foreign processes never train one
 twice.
 
+The dataset splits the entries train on are cached the same way, under
+``splits/`` (:func:`split_cache_path`): generated once per cache directory,
+then read back, byte-identical, by every later process.
+
 All entries are registered in the unified ``"zoo"`` registry so the experiment
 pipeline can resolve them by name.
 """
@@ -42,12 +46,15 @@ from __future__ import annotations
 
 import os
 import threading
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-from repro.datasets import DataSplit, generate_digits, generate_objects, train_test_split
+import numpy as np
+
+from repro.datasets import Dataset, DataSplit, generate_digits, generate_objects, train_test_split
 from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
 from repro.nn.network import Sequential
 from repro.obs import TRACER
@@ -202,21 +209,131 @@ def zoo_cache_path(cache_name: str, recipe_name: str) -> Path:
     return CACHE_DIR / f"{cache_name}_{tag}.npz"
 
 
+T = TypeVar("T")
+
+#: what reading an untrusted cache file raises: a truncated zip, a missing
+#: array, arrays that disagree with the config, an unreadable file
+_UNREADABLE = (KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile)
+
+
+def _read_or_drop(path: Path, read: Callable[[Path], T]) -> Optional[T]:
+    """``read(path)``, or ``None`` when ``path`` is absent or unreadable (then unlinked)."""
+    if not path.exists():
+        return None
+    try:
+        return read(path)
+    except _UNREADABLE:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
+
+def _load_or_make(
+    path: Path, read: Callable[[Path], T], make: Callable[[], T], write: Callable[[T, Path], None]
+) -> T:
+    """The artifact cached at ``path``: read it, or make it and publish it there.
+
+    Making happens under an advisory file lock, so concurrent processes
+    (training-pool and cell-pool workers, parallel CLI invocations) sharing
+    the cache directory make each artifact exactly once: whoever takes the
+    lock first makes it and publishes it atomically, everyone else blocks and
+    then reads the published file.  A file ``read`` rejects is untrusted
+    input: it is unlinked and made again.
+    """
+    found = _read_or_drop(path, read)
+    if found is not None:
+        return found
+    with FileLock(path.with_name(path.name + ".lock")):
+        found = _read_or_drop(path, read)  # made elsewhere while we waited
+        if found is not None:
+            return found
+        made = make()
+        with atomic_path(path, suffix=".npz") as tmp:
+            write(made, tmp)
+    return made
+
+
 #: per-process memo of the dataset splits, keyed ``(dataset, test_fraction,
 #: fast)``; the arrays are read-only, since every caller shares them
 _SPLITS: Dict[Tuple[str, float, bool], DataSplit] = {}
 _SPLITS_LOCK = threading.Lock()
 
 
-def _memo_split(name: str, test_fraction: float, fast: bool, make: Callable[[], DataSplit]) -> DataSplit:
+def split_cache_path(name: str, config: Dict[str, Any], test_fraction: float, fast: bool) -> Path:
+    """Where one dataset split is cached, tagged with everything its arrays depend on."""
+    import repro.datasets as datasets
+    from repro.pipeline.spec import canonical_digest  # lazy: avoids a cycle
+
+    tag = canonical_digest(
+        {
+            "dataset": name,
+            "config": config,
+            "test_fraction": float(test_fraction),
+            "dataset_numerics": datasets.DATASET_NUMERICS_VERSION,
+        }
+    )[:_RECIPE_TAG_WIDTH]
+    return CACHE_DIR / "splits" / f"{name}{_suffix(fast)}_{tag}.npz"
+
+
+def _write_split(split: DataSplit, path: Path) -> None:
+    arrays = {}
+    for part in ("train", "test"):
+        data = getattr(split, part)
+        arrays[f"{part}_images"] = data.images
+        arrays[f"{part}_labels"] = data.labels
+        arrays[f"{part}_name"] = np.array(data.name)
+    np.savez(path, **arrays)
+
+
+def _read_split(path: Path, config: Dict[str, Any]) -> DataSplit:
+    """The split cached at ``path``; raises ``ValueError`` unless it fits ``config``."""
+    size = config["size"]
+    parts = {}
+    with np.load(path) as data:
+        for part in ("train", "test"):
+            images, labels = data[f"{part}_images"], data[f"{part}_labels"]
+            if (
+                images.dtype != np.float32
+                or labels.dtype != np.int64
+                or images.shape[2:] != (size, size)
+                or labels.shape != images.shape[:1]
+            ):
+                raise ValueError(f"{path.name}: {part} arrays do not fit {config}")
+            parts[part] = Dataset(images, labels, name=str(data[f"{part}_name"]))
+    train, test = parts["train"], parts["test"]
+    if len(train) + len(test) != config["n_samples"] or train.input_shape != test.input_shape:
+        raise ValueError(f"{path.name}: the split does not fit {config}")
+    return DataSplit(train, test)
+
+
+def _load_split(
+    name: str,
+    config: Dict[str, Any],
+    test_fraction: float,
+    fast: bool,
+    generate: Callable[[], Dataset],
+) -> DataSplit:
+    """One dataset split: memoised per process, cached on disk once per zoo cache."""
     key = (name, float(test_fraction), bool(fast))
     with _SPLITS_LOCK:
         split = _SPLITS.get(key)
     if split is not None:
         return split
-    # generated outside the lock, which a fork must never inherit held; two
-    # threads racing here build equal splits and keep the first published
-    split = make()
+    path = split_cache_path(name, config, test_fraction, fast)
+
+    def read(path: Path) -> DataSplit:
+        with TRACER.span("datasets.load", cat="datasets", split=path.name):
+            return _read_split(path, config)
+
+    def make() -> DataSplit:
+        with TRACER.span("datasets.generate", cat="datasets", split=path.name):
+            return train_test_split(generate(), test_fraction)
+
+    # loaded outside the memo's lock, which a fork must never inherit held;
+    # two threads racing here get equal splits and keep the first published
+    split = _load_or_make(path, read, make, _write_split)
     for part in (split.train, split.test):
         part.images.flags.writeable = False
         part.labels.flags.writeable = False
@@ -225,25 +342,21 @@ def _memo_split(name: str, test_fraction: float, fast: bool, make: Callable[[], 
 
 
 def clear_dataset_splits() -> None:
-    """Drop the memoised splits (the next load regenerates them)."""
+    """Drop the memoised splits (the next load reads them from the zoo cache)."""
     with _SPLITS_LOCK:
         _SPLITS.clear()
 
 
 def load_digits_split(test_fraction: float = 0.15, fast: bool = False) -> DataSplit:
-    """The digit dataset split used by all digit experiments (memoised per process)."""
+    """The digit dataset split used by all digit experiments (cached, memoised)."""
     config = DIGITS_CONFIG_FAST if fast else DIGITS_CONFIG
-    return _memo_split(
-        "digits", test_fraction, fast, lambda: train_test_split(generate_digits(**config), test_fraction)
-    )
+    return _load_split("digits", config, test_fraction, fast, lambda: generate_digits(**config))
 
 
 def load_objects_split(test_fraction: float = 0.2, fast: bool = False) -> DataSplit:
-    """The object dataset split used by all object experiments (memoised per process)."""
+    """The object dataset split used by all object experiments (cached, memoised)."""
     config = OBJECTS_CONFIG_FAST if fast else OBJECTS_CONFIG
-    return _memo_split(
-        "objects", test_fraction, fast, lambda: train_test_split(generate_objects(**config), test_fraction)
-    )
+    return _load_split("objects", config, test_fraction, fast, lambda: generate_objects(**config))
 
 
 @dataclass(frozen=True)
@@ -289,50 +402,31 @@ def _unit(
     return TrainingUnit(cache_name, zoo_cache_path(cache_name, recipe_name), resolve, after)
 
 
-def _try_load(model: Sequential, unit: TrainingUnit) -> bool:
-    """Load the unit's cached parameters into ``model``; drops unreadable caches."""
-    if not unit.path.exists():
-        return False
-    try:
-        with TRACER.span("zoo.load", cat="zoo", unit=unit.name):
-            model.load(str(unit.path))
-        return True
-    except (KeyError, ValueError, OSError, EOFError):
-        # architecture changed since the cache was written (or the file
-        # predates atomic writes and is truncated); retrain
-        try:
-            unit.path.unlink()
-        except OSError:
-            pass
-        return False
-
-
 def _cached_model(
     unit: TrainingUnit, builder: Callable[[], Sequential], trainer: Callable[[Sequential], None]
 ) -> Sequential:
-    """Build a unit's model and load its cached parameters, or train and publish them.
+    """A unit's model with its cached parameters, trained and published first if missing.
 
-    Training happens under an advisory file lock, so concurrent processes
-    (training-pool and cell-pool workers, parallel CLI invocations) sharing
-    the cache directory train each unit exactly once: whoever takes the lock
-    first trains and publishes atomically, everyone else blocks and then
-    loads the published file.
+    :func:`_load_or_make` trains each unit once per cache directory, however
+    many processes want it; a file whose arrays no longer fit the
+    architecture is retrained.
     """
     model = builder()
-    if _try_load(model, unit):
+
+    def load(path: Path) -> Sequential:
+        with TRACER.span("zoo.load", cat="zoo", unit=unit.name):
+            model.load(str(path))
         return model
-    unit.path.parent.mkdir(parents=True, exist_ok=True)
-    with FileLock(unit.path.with_name(unit.path.name + ".lock")):
-        if _try_load(model, unit):  # trained elsewhere while we waited
-            return model
-        model = builder()  # a failed load may have filled some parameters
+
+    def train() -> Sequential:
+        trained = builder()  # a failed load may have filled some parameters
         start = perf_counter()
         with TRACER.span("zoo.train", cat="zoo", unit=unit.name):
-            trainer(model)
+            trainer(trained)
         TRAINED_UNITS.append((unit.name, perf_counter() - start))
-        with atomic_path(unit.path, suffix=".npz") as tmp:
-            model.save(str(tmp))
-    return model
+        return trained
+
+    return _load_or_make(unit.path, load, train, lambda model, tmp: model.save(str(tmp)))
 
 
 #: the optimizers a recipe's ``optimizer.kind`` names

@@ -87,11 +87,14 @@ def test_bfloat16_preserves_sign_and_special_values():
 
 
 def test_bfloat16_output_is_float32_copy():
-    x = np.array([3.14159], dtype=np.float32)
+    x = np.random.default_rng(5).standard_normal((3, 4, 5)).astype(np.float32)
     t = bfloat16_truncate(x)
-    assert t.dtype == np.float32
+    assert t.dtype == np.float32 and t.shape == x.shape
+    # the high half of every encoding, in memory of its own
+    assert np.array_equal(t.view(np.uint32), (x.view(np.uint32) >> 16) << 16)
+    assert not np.shares_memory(t, x)
     t[0] = 0.0
-    assert x[0] != 0.0  # original untouched
+    assert np.all(x[0] != 0.0)  # original untouched
 
 
 def test_constants():

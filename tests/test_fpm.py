@@ -140,6 +140,24 @@ def test_bfloat16_noise_is_small_and_deflating_for_positive_operands():
     assert np.mean(errors <= 0) > 0.95
 
 
+@pytest.mark.parametrize("truncate_output", [False, True])
+def test_bfloat16_product_keeps_its_bits_and_shares_no_memory(truncate_output):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 1, 5, 2)).astype(np.float32)
+    b = rng.standard_normal((1, 4, 5, 1)).astype(np.float32)
+
+    def truncate(x):
+        return ((x.view(np.uint32) >> 16) << 16).view(np.float32)
+
+    expected = truncate(a) * truncate(b)
+    if truncate_output:
+        expected = truncate(expected)
+    product = Bfloat16Multiplier(truncate_output=truncate_output).multiply(a, b)
+    assert product.dtype == np.float32 and product.shape == (3, 4, 5, 2)
+    assert product.tobytes() == expected.tobytes()
+    assert not np.shares_memory(product, a) and not np.shares_memory(product, b)
+
+
 def test_broadcasting_through_the_multiplier():
     ax = AxFPM(frac_bits=8)
     a = np.linspace(0.1, 1.0, 5, dtype=np.float32).reshape(5, 1)

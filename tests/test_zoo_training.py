@@ -213,6 +213,18 @@ def test_traced_pool_training_spans_come_from_the_workers(tmp_path, monkeypatch,
     assert loads == set(unit_names())
 
 
+def test_a_truncated_unit_file_is_retrained_with_the_same_bytes(tmp_path, tiny_zoo):
+    zoo_dir = tmp_path / "zoo-default"
+    ZOO.create(BASE, fast=True)
+    before = npz_arrays(zoo_dir)
+    (path,) = zoo_dir.glob("*.npz")
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    trained = len(zoo.TRAINED_UNITS)
+    ZOO.create(BASE, fast=True)
+    assert [name for name, _ in zoo.TRAINED_UNITS[trained:]] == [BASE]
+    assert npz_arrays(zoo_dir) == before
+
+
 def test_dependent_units_wait_for_their_recipe_dependencies():
     (substitute,) = zoo_units("substitute_digits", fast=True, victim="exact")
     (lenet,) = zoo_units("lenet_digits", fast=True)
@@ -223,13 +235,16 @@ def test_dependent_units_wait_for_their_recipe_dependencies():
     assert all(u.after == () for u in dq)
 
 
-def test_dataset_splits_are_memoised_read_only_and_cleared(monkeypatch):
+def test_dataset_splits_are_memoised_read_only_and_cleared(tmp_path, monkeypatch):
+    # first: a split generated here must never be published in the user's cache
+    monkeypatch.setattr(zoo, "CACHE_DIR", tmp_path)
+    monkeypatch.setattr(zoo, "DIGITS_CONFIG_FAST", {**zoo.DIGITS_CONFIG_FAST, "n_samples": 40})
     calls = []
     real = zoo.generate_digits
 
     def counting(**config):
         calls.append(config)
-        return real(**{**config, "n_samples": 40})
+        return real(**config)
 
     monkeypatch.setattr(zoo, "generate_digits", counting)
     clear_model_caches()
@@ -244,6 +259,6 @@ def test_dataset_splits_are_memoised_read_only_and_cleared(monkeypatch):
         assert len(calls) == 2
         clear_model_caches()
         assert zoo.load_digits_split(fast=True) is not split
-        assert len(calls) == 3
+        assert len(calls) == 2  # read back from the zoo cache, not generated
     finally:
         clear_model_caches()
