@@ -57,6 +57,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.allocator import keep_freed_memory_mapped
 from repro.parallel.engine import CellExecutionError
 from repro.pipeline import EXPERIMENTS, Runner, get_experiment, list_experiments
 from repro.pipeline.catalog import check_claims
@@ -356,9 +357,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     zoo = telemetry.zoo_training()
     if zoo["pool"] or zoo["parent"]:
+
+        def units(names: List[str]) -> str:
+            return ", ".join(f"{name} {zoo['unit_s'][name]:.1f}s" for name in names)
+
         print(
-            f"# zoo training: pool [{', '.join(zoo['pool'])}], "
-            f"parent [{', '.join(zoo['parent'])}], {zoo['wall_s']:.1f}s wall"
+            f"# zoo training: pool [{units(zoo['pool'])}], "
+            f"parent [{units(zoo['parent'])}], {zoo['wall_s']:.1f}s wall"
         )
     if any(telemetry.faults.values()):
         survived = ", ".join(f"{k}={v}" for k, v in telemetry.faults.items() if v)
@@ -609,6 +614,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "info":
             return _cmd_info(args)
         if args.command == "run":
+            keep_freed_memory_mapped()
             return _cmd_run(args)
         if args.command == "serve":
             return _cmd_serve(args)

@@ -54,6 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
+from repro.allocator import release_freed_memory
 from repro.datasets import Dataset, DataSplit, generate_digits, generate_objects, train_test_split
 from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
 from repro.nn.network import Sequential
@@ -424,6 +425,7 @@ def _cached_model(
         with TRACER.span("zoo.train", cat="zoo", unit=unit.name):
             trainer(trained)
         TRAINED_UNITS.append((unit.name, perf_counter() - start))
+        release_freed_memory()  # the next unit starts from what it needs
         return trained
 
     return _load_or_make(unit.path, load, train, lambda model, tmp: model.save(str(tmp)))

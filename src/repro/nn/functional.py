@@ -31,7 +31,9 @@ Data movement
 :func:`im2col`, :func:`col2im` and the 2x2 max-pool dispatch to the compiled
 kernels of :mod:`repro.nn.native` when the process has them, and otherwise
 run the numpy implementations here (``_im2col_numpy`` and friends), which are
-also the kernels' parity oracle: both paths give the same bytes.  The
+also the kernels' parity oracle: both paths give the same bytes.  So do the
+BatchNorm functions, :func:`multiply` and the activations' backward pass,
+whose numpy expressions are the fallback and oracle.  The
 training-mode (whole-batch) convolution issues its GEMMs on operands in the
 layouts ``einsum`` builds for them, and keeps each output's strides: the
 convolution output is channels-last in memory, and the BatchNorm reductions
@@ -278,7 +280,10 @@ def conv2d_forward(
             out = np.einsum("fk,nkl->nfl", w_mat, im2col(x, (kh, kw), stride, padding), optimize=True)
         saved = x
     out += bias.reshape(1, f, 1)
-    return out.reshape(n, f, out_h, out_w).astype(np.float32), saved
+    out = out.reshape(n, f, out_h, out_w)
+    # the result is fresh float32; only a length-1 axis may carry a stride
+    # other than the one numpy's copy gives it (einsum's singleton results)
+    return (out.astype(np.float32) if 1 in out.shape else out), saved
 
 
 def conv2d_backward(
@@ -336,9 +341,12 @@ def conv2d_backward(
         grad_bias = grad_out.sum(axis=(0, 2, 3))
     grad_input = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
     return (
+        # copies: the cropped col2im view becomes C-contiguous (the
+        # reductions downstream sum in memory order), and the small weight
+        # gradient's length-1 axes get the strides a copy gives them
         grad_input.astype(np.float32),
         grad_weight.astype(np.float32) if grad_weight is not None else None,
-        grad_bias.astype(np.float32) if grad_bias is not None else None,
+        grad_bias.astype(np.float32, copy=False) if grad_bias is not None else None,
     )
 
 
@@ -408,16 +416,75 @@ def _maxpool2d_backward_numpy(
     return grad_input.reshape(n, c, h, w).astype(np.float32)
 
 
+# ---------------------------------------------------------------- elementwise
+def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b``: numpy's bytes and result layout.
+
+    A float32 ``a`` times a float32 or bool ``b`` of its shape takes the
+    compiled pass, which also serves operands of different layouts (a
+    gradient and a channels-last activation) at contiguous speed.
+    """
+    kernels = native.BACKEND.kernels()
+    product = None if kernels is None else kernels.multiply(a, b)
+    return product if product is not None else a * b
+
+
+# ------------------------------------------------------------- batch norm
+def batchnorm_statistics(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-channel ``(mean, var)`` of an ``(N, C, H, W)`` training batch.
+
+    These are numpy's ``mean`` and ``var`` over ``(0, 2, 3)``.  A
+    channels-last batch (a training convolution's output) takes the compiled
+    pass, which sums in the order numpy sums that layout in.
+    """
+    kernels = native.BACKEND.kernels()
+    stats = None if kernels is None else kernels.channel_stats(x)
+    return stats if stats is not None else (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3)))
+
+
+def batchnorm_normalize(
+    x: np.ndarray, mean: np.ndarray, std: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(x_hat, out)`` with ``x_hat = (x - mean) / std`` and ``out = gamma * x_hat + beta``.
+
+    ``mean``, ``std``, ``gamma`` and ``beta`` are per-channel ``(C,)`` vectors.
+    """
+    kernels = native.BACKEND.kernels()
+    done = None if kernels is None else kernels.bn_normalize(x, mean, std, gamma, beta)
+    if done is not None:
+        return done
+    x_hat = (x - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
+    out = gamma.reshape(1, -1, 1, 1) * x_hat + beta.reshape(1, -1, 1, 1)
+    return x_hat, out.astype(np.float32, copy=False)
+
+
+def batchnorm_input_grad(grad_xhat: np.ndarray, x_hat: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """The training-mode BatchNorm input gradient, from ``grad_xhat = grad_out * gamma``.
+
+    The two per-channel means stay numpy reductions; the compiled pass does
+    the elementwise rest.
+    """
+    m1 = grad_xhat.mean(axis=(0, 2, 3), keepdims=True)
+    m2 = multiply(grad_xhat, x_hat).mean(axis=(0, 2, 3), keepdims=True)
+    kernels = native.BACKEND.kernels()
+    grad = None
+    if kernels is not None:
+        grad = kernels.bn_backward(grad_xhat, x_hat, m1.reshape(-1), m2.reshape(-1), std)
+    if grad is None:
+        grad = (grad_xhat - m1 - x_hat * m2) / std.reshape(1, -1, 1, 1)
+    return grad.astype(np.float32, copy=False)
+
+
 # ---------------------------------------------------------------- activations
 def relu_forward(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """ReLU forward; returns ``(output, mask)``."""
     mask = x > 0
-    return (x * mask).astype(np.float32), mask
+    return (x * mask).astype(np.float32, copy=False), mask
 
 
 def relu_backward(grad_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """ReLU backward."""
-    return (grad_out * mask).astype(np.float32)
+    """ReLU backward, and QuantReLU's: the gradient times the forward's mask."""
+    return multiply(grad_out, mask).astype(np.float32, copy=False)
 
 
 def row_sums(a: np.ndarray) -> np.ndarray:

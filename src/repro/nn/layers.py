@@ -152,10 +152,14 @@ class Conv2d(Module):
         self.bias = Parameter(zeros((out_channels,)), name=f"{name}.bias")
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, int, int, int]]] = None
 
+    def forward_weight(self) -> np.ndarray:
+        """The weight the forward pass applies; the backward pass uses :attr:`weight`."""
+        return self.weight.value
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, saved = F.conv2d_forward(
             x,
-            self.weight.value,
+            self.forward_weight(),
             self.bias.value,
             self.stride,
             self.padding,
@@ -213,17 +217,22 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,)), name=f"{name}.bias")
         self._cache: Optional[np.ndarray] = None
 
+    def forward_weight(self) -> np.ndarray:
+        """The weight the forward pass applies; the backward pass uses :attr:`weight`."""
+        return self.weight.value
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
+        weight = self.forward_weight()
         if self.training:
             # training passes are batch-shaped anyway (BatchNorm, batch-mean
             # loss): keep the single fused GEMM
-            out = x @ self.weight.value.T
+            out = x @ weight.T
         else:
             # batch-invariant contraction: each row's logits are bitwise
             # independent of the batch size (see repro.nn.functional docstring)
-            out = F.linear_forward_values(x, self.weight.value)
-        return (out + self.bias.value).astype(np.float32)
+            out = F.linear_forward_values(x, weight)
+        return (out + self.bias.value).astype(np.float32, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -236,7 +245,7 @@ class Linear(Module):
             grad_in = grad_out @ self.weight.value
         else:
             grad_in = F.linear_backward_values(grad_out, self.weight.value)
-        return grad_in.astype(np.float32)
+        return grad_in.astype(np.float32, copy=False)
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]
@@ -320,12 +329,12 @@ class Dropout(Module):
             return x
         keep = 1.0 - self.p
         self._mask = (self.rng.random(x.shape) < keep).astype(np.float32) / keep
-        return (x * self._mask).astype(np.float32)
+        return (x * self._mask).astype(np.float32, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
-        return (grad_out * self._mask).astype(np.float32)
+        return (grad_out * self._mask).astype(np.float32, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Dropout(p={self.p})"
@@ -349,19 +358,16 @@ class BatchNorm2d(Module):
         if x.ndim != 4:
             raise ValueError("BatchNorm2d expects (N, C, H, W) inputs")
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            mean, var = F.batchnorm_statistics(x)
             self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
             self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
         else:
             mean = self.running_mean
             var = self.running_var
-        mean_b = mean.reshape(1, -1, 1, 1)
-        std_b = np.sqrt(var + self.eps).reshape(1, -1, 1, 1)
-        x_hat = (x - mean_b) / std_b
-        out = self.gamma.value.reshape(1, -1, 1, 1) * x_hat + self.beta.value.reshape(1, -1, 1, 1)
-        self._cache = {"x_hat": x_hat, "std": std_b, "training": np.array(self.training)}
-        return out.astype(np.float32)
+        std = np.sqrt(var + self.eps)
+        x_hat, out = F.batchnorm_normalize(x, mean, std, self.gamma.value, self.beta.value)
+        self._cache = {"x_hat": x_hat, "std": std, "training": np.array(self.training)}
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -370,21 +376,13 @@ class BatchNorm2d(Module):
         std = self._cache["std"]
         was_training = bool(self._cache["training"])
         if _ACCUMULATE_PARAM_GRADS:
-            self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
+            self.gamma.grad += F.multiply(grad_out, x_hat).sum(axis=(0, 2, 3))
             self.beta.grad += grad_out.sum(axis=(0, 2, 3))
         gamma_b = self.gamma.value.reshape(1, -1, 1, 1)
         if not was_training:
             # running statistics are constants w.r.t. the input
-            return (grad_out * gamma_b / std).astype(np.float32)
-        n = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-        grad_xhat = grad_out * gamma_b
-        grad_in = (
-            grad_xhat
-            - grad_xhat.mean(axis=(0, 2, 3), keepdims=True)
-            - x_hat * (grad_xhat * x_hat).mean(axis=(0, 2, 3), keepdims=True)
-        ) / std
-        del n
-        return grad_in.astype(np.float32)
+            return (grad_out * gamma_b / std.reshape(1, -1, 1, 1)).astype(np.float32, copy=False)
+        return F.batchnorm_input_grad(grad_out * gamma_b, x_hat, std)
 
     def parameters(self) -> List[Parameter]:
         return [self.gamma, self.beta]

@@ -1,11 +1,11 @@
-"""Compiled kernels: conv/pool data movement and the approximate GEMM.
+"""Compiled kernels: conv/pool data movement, training-step elementwise
+passes and the approximate GEMM.
 
-Training the exact and DQ baselines is mostly data movement: patch
-extraction (``im2col``), its scatter-add inverse (``col2im``) and the 2x2
-max-pool; evaluating the approximate models is mostly the emulated
-multiplier's GEMM.  This module carries five small C kernels for them,
-compiled on first use with the system C compiler into one library and
-loaded with :mod:`ctypes`:
+Training the exact and DQ baselines is mostly data movement and
+elementwise work around GEMMs whose bits are fixed; evaluating the
+approximate models is mostly the emulated multiplier's GEMM.  This module
+carries small C kernels for them, compiled on first use with the system C
+compiler into one library and loaded with :mod:`ctypes`:
 
 * ``repro_im2col`` -- patches of an ``(N, C, H, W)`` input of any strides
   into a patch matrix of any strides (the ``(N, K, L)``, ``(N, L, K)`` and
@@ -16,6 +16,12 @@ loaded with :mod:`ctypes`:
 * ``repro_maxpool2x2_forward`` / ``_backward`` -- 2x2/stride-2 max pooling
   with ``np.argmax``'s first-max/first-NaN rule and the backward pass's
   ``0.0 + g`` scatter;
+* ``repro_channel_stats`` -- BatchNorm's training mean and variance of a
+  channels-last batch, folded in the order numpy's reductions sum it;
+* ``repro_bn_normalize`` / ``repro_bn_backward``, ``repro_quant_relu`` and
+  ``repro_multiply`` / ``repro_mask_multiply`` -- single elementwise passes
+  for BatchNorm, the quantised ReLU and a product of two layouts, writing
+  the layout numpy's result would have;
 * ``repro_lut_gemm`` -- the approximate GEMM of
   :class:`repro.arith.kernels.FusedLutGemmKernel`: it decodes each activation
   as :func:`~repro.arith.float_format.operand_codes` does and folds
@@ -24,10 +30,13 @@ loaded with :mod:`ctypes`:
 Every kernel moves, adds or multiplies exactly what its numpy reference
 does (:mod:`repro.nn.functional`, :class:`~repro.arith.kernels.FallbackGemmKernel`),
 in the same order, so results are bit-identical to it (``tests/test_native.py``
-and ``tests/test_kernels.py`` prove it byte for byte).
-The build uses ``-O3 -fPIC -shared -ffp-contract=off``: no FMA contraction,
-no fast-math and no ``-march=native``, so the library does not depend on the
-build machine's vector extensions for its numerics.
+and ``tests/test_kernels.py`` prove it byte for byte; where two NaNs meet,
+which payload survives is the compiler's choice of operand order).
+The build uses ``-O3 -fPIC -ffp-contract=off``: no FMA contraction, no
+fast-math and no ``-march=native``, so the library does not depend on the
+build machine's vector extensions for its numerics.  The source is two
+translation units (:data:`UNITS`) that compile concurrently and link into
+one library, which halves a cold build's wall on two cores.
 
 Build and cache: the library lives in ``$REPRO_DA_CACHE/native/`` (default
 ``~/.cache/repro-da/native``) under a name that digests the C source, the
@@ -41,10 +50,11 @@ published library that fails to load is deleted and rebuilt once.
 Fallback: with no ``cc`` on ``PATH``, a failed build or load, or the
 ``kernel.build_fail`` fault point firing at key ``native:<DIGEST>``, the
 process warns once, counts ``NATIVE_STATS.fallbacks``, keeps the numpy
-conv/pool functions and gives approximate layers the reference GEMM kernel
--- the same bytes, only slower.  The process resolves the backend once
-(:data:`BACKEND`); the parallel engine resolves it before it forks a pool,
-so workers inherit the loaded library (or the fallback decision).
+conv/pool/BatchNorm/activation functions and gives approximate layers the
+reference GEMM kernel -- the same bytes, only slower.  The process resolves
+the backend once (:data:`BACKEND`); the parallel engine resolves it before
+it forks a pool, so workers inherit the loaded library (or the fallback
+decision).
 """
 
 from __future__ import annotations
@@ -64,7 +74,9 @@ import numpy as np
 
 from repro.counters import ProcessCounters
 
-SOURCE = r"""
+#: declarations both translation units start with
+_COMMON = r"""
+#include <float.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -72,11 +84,41 @@ SOURCE = r"""
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
+#if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
+#error "float arithmetic here must round to float at every step"
+#endif
 
 typedef ptrdiff_t idx;
 
 #define INLINE static inline __attribute__((always_inline))
 
+/* Elementwise passes over a 4-D index space d[0..3], outermost first.
+   Operand k's element strides along those axes are s[4k .. 4k+3] (0 where
+   it broadcasts, as a per-channel vector does).  EACH_ROW runs its last
+   argument for every row of the innermost axis, with o[k] the offset of
+   operand k's row.  Every pass computes per element the float32
+   operations of its numpy expression in repro.nn.functional, in the same
+   order, so its bytes are numpy's. */
+#define EACH_ROW(d, s, nops, ...)                                              \
+    do {                                                                       \
+        idx i0, i1, i2, k, o[nops];                                            \
+        for (i0 = 0; i0 < d[0]; i0++)                                          \
+            for (i1 = 0; i1 < d[1]; i1++) {                                    \
+                for (k = 0; k < nops; k++)                                     \
+                    o[k] = i0 * s[4 * k] + i1 * s[4 * k + 1];                  \
+                for (i2 = 0; i2 < d[2]; i2++) {                                \
+                    __VA_ARGS__;                                               \
+                    for (k = 0; k < nops; k++) o[k] += s[4 * k + 2];           \
+                }                                                              \
+            }                                                                  \
+    } while (0)
+"""
+
+#: the kernels, in two translation units of about equal compile time:
+#: they compile concurrently and link into one library
+UNITS = (
+    _COMMON
+    + r"""
 /* Output indices o in [*lo, *hi) whose tap o*stride + t - pad lies in
    [0, size): the rest of the range reads zero padding. */
 static void valid_range(idx out, idx size, idx stride, idx t, idx pad, idx *lo, idx *hi)
@@ -319,6 +361,133 @@ idx repro_maxpool2x2_backward(const float *restrict g, idx gn, idx gc, idx gh, i
     return bad;
 }
 
+/* QuantReLU forward: mask = (0 < x < 1), out = rint(clip(x, 0, 1) * L) / L.
+   The clip is numpy's: c = 1 < lo ? 1 : lo with lo = 0 > v ? 0 : v keeps
+   -0.0 and NaN, as do SSE's maxps(0, v) and minps(1, lo).  q = c * L lies
+   in [0, L] with L < 2**23, where adding and taking back 2**23 rounds half
+   to even as np.rint does; q <= 0 (+-0.0) and NaN pass unrounded.
+   Operands: x, out, mask. */
+void repro_quant_relu(const idx *d, const idx *s, const float *restrict x, float *restrict out,
+                      uint8_t *restrict mask, float levels)
+{
+    EACH_ROW(d, s, 3, {
+        const float *xr = x + o[0];
+        float *outr = out + o[1];
+        uint8_t *maskr = mask + o[2];
+        idx t = 0, sx = s[3], so = s[7], sm = s[11];
+#if defined(__SSE2__)
+        if (sx == 1 && so == 1) {
+            const __m128 zero = _mm_setzero_ps(), one = _mm_set1_ps(1.0f);
+            const __m128 big = _mm_set1_ps(8388608.0f), l = _mm_set1_ps(levels);
+            for (; t + 4 <= d[3]; t += 4) {
+                __m128 q = _mm_mul_ps(_mm_min_ps(one, _mm_max_ps(zero, _mm_loadu_ps(xr + t))), l);
+                __m128 r = _mm_sub_ps(_mm_add_ps(q, big), big);
+                __m128 take = _mm_cmpgt_ps(q, zero);
+                q = _mm_or_ps(_mm_and_ps(take, r), _mm_andnot_ps(take, q));
+                _mm_storeu_ps(outr + t, _mm_div_ps(q, l));
+            }
+        }
+#endif
+        for (; t < d[3]; t++) {
+            float v = xr[t * sx];
+            float low = 0.0f > v ? 0.0f : v;
+            float q = (1.0f < low ? 1.0f : low) * levels;
+            float r = (q + 8388608.0f) - 8388608.0f;
+            outr[t * so] = (q > 0.0f ? r : q) / levels;
+        }
+        for (t = 0; t < d[3]; t++) maskr[t * sm] = (xr[t * sx] > 0.0f) & (xr[t * sx] < 1.0f);
+    });
+}
+
+/* out = a * b for a float32 a and a float32 or 0/1 uint8 (numpy bool) b:
+   BatchNorm's backward products, and the (Quant)ReLU backward pass.
+   Operands: a, b, out. */
+#define MULTIPLY_PASS(name, T)                                                 \
+    void repro_##name(const idx *d, const idx *s, const float *restrict a, const T *restrict b, \
+                      float *restrict out)                                     \
+    {                                                                          \
+        EACH_ROW(d, s, 3, {                                                    \
+            idx t;                                                             \
+            for (t = 0; t < d[3]; t++)                                         \
+                out[o[2] + t * s[11]] = a[o[0] + t * s[3]] * (float)b[o[1] + t * s[7]]; \
+        });                                                                    \
+    }
+MULTIPLY_PASS(multiply, float)
+MULTIPLY_PASS(mask_multiply, uint8_t)
+""",
+    _COMMON
+    + r"""
+/* Per-channel batch statistics of a dense channels-last x: m rows (the
+   (n, h, w) positions in memory order) of c channels.  numpy's
+   mean/var over (0, 2, 3) sum such an array row by row, each channel a
+   float32 fold from +0.0, and divide by the count in double: mean is that
+   fold / m, var the fold of (x - mean)^2 / m. */
+void repro_channel_stats(const float *restrict x, idx m, idx c,
+                         float *restrict mean, float *restrict var)
+{
+    idx r, ci;
+    for (ci = 0; ci < c; ci++) mean[ci] = var[ci] = 0.0f;
+    for (r = 0; r < m; r++)
+        for (ci = 0; ci < c; ci++) mean[ci] += x[r * c + ci];
+    for (ci = 0; ci < c; ci++) mean[ci] = (float)((double)mean[ci] / (double)m);
+    for (r = 0; r < m; r++)
+        for (ci = 0; ci < c; ci++) {
+            float d = x[r * c + ci] - mean[ci];
+            var[ci] += d * d;
+        }
+    for (ci = 0; ci < c; ci++) var[ci] = (float)((double)var[ci] / (double)m);
+}
+
+/* BatchNorm normalise and scale-shift of a row of n elements: x_hat =
+   (x - mean) / std and out = gamma * x_hat + beta, the four per-channel
+   vectors read with stride sp (1 where the row runs along channels). */
+INLINE void bn_normalize_row(idx n, const float *restrict x, const float *restrict mean,
+                             const float *restrict std, const float *restrict gamma,
+                             const float *restrict beta, idx sp, float *restrict x_hat,
+                             float *restrict out)
+{
+    idx t;
+    for (t = 0; t < n; t++) {
+        float h = (x[t] - mean[t * sp]) / std[t * sp];
+        x_hat[t] = h;
+        out[t] = gamma[t * sp] * h + beta[t * sp];
+    }
+}
+
+/* Operands: x, mean, std, gamma, beta, x_hat, out; x, x_hat and out share
+   one layout, so their rows are contiguous. */
+void repro_bn_normalize(const idx *d, const idx *s, const float *restrict x,
+                        const float *restrict mean, const float *restrict std,
+                        const float *restrict gamma, const float *restrict beta,
+                        float *restrict x_hat, float *restrict out)
+{
+    EACH_ROW(d, s, 7,
+             if (s[7])
+                 bn_normalize_row(d[3], x + o[0], mean + o[1], std + o[2], gamma + o[3],
+                                  beta + o[4], 1, x_hat + o[5], out + o[6]);
+             else
+                 bn_normalize_row(d[3], x + o[0], mean + o[1], std + o[2], gamma + o[3],
+                                  beta + o[4], 0, x_hat + o[5], out + o[6]));
+}
+
+/* BatchNorm backward, training mode, the elementwise part: out = (gx - m1
+   - x_hat * m2) / std with m1, m2 the per-channel means numpy reduced.
+   Operands: gx, x_hat, m1, m2, std, out; the three per-channel vectors
+   share their strides. */
+void repro_bn_backward(const idx *d, const idx *s, const float *restrict gx,
+                       const float *restrict x_hat, const float *restrict m1,
+                       const float *restrict m2, const float *restrict std, float *restrict out)
+{
+    EACH_ROW(d, s, 6, {
+        idx t;
+        for (t = 0; t < d[3]; t++) {
+            idx c = o[2] + t * s[11];
+            out[o[5] + t * s[23]] =
+                ((gx[o[0] + t * s[3]] - m1[c]) - x_hat[o[1] + t * s[7]] * m2[c]) / std[c];
+        }
+    });
+}
+
 /* float_format.operand_codes of one float32: sign and truncated fraction
    pack into (fraction >> (23 - fb)) | sign << fb, zeros and subnormals into
    code 2 << fb with exponent 0; inf/NaN keep exponent 128. */
@@ -445,15 +614,23 @@ done:
     free(acc);
     return status;
 }
-"""
+""",
+)
 
-#: compiler flags: no FMA contraction, no fast-math, no host-specific ISA
-CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: each unit's compiler flags (the link adds ``-shared``): no FMA
+#: contraction, no fast-math, no host-specific ISA
+CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
 
 #: digest of the kernels' source and flags; the ``kernel.build_fail`` fault
 #: key is ``native:<DIGEST>`` (compiler-independent, so a chaos run's seeded
 #: schedule fires on every platform alike)
-DIGEST = hashlib.sha256("\0".join((SOURCE, *CFLAGS)).encode()).hexdigest()[:16]
+DIGEST = hashlib.sha256("\0".join((*UNITS, *CFLAGS)).encode()).hexdigest()[:16]
+
+
+#: elementwise passes (the BatchNorm and activation kernels) serve arrays of
+#: at least this many elements: below it, numpy's passes over cached data
+#: cost less than setting up a compiled call
+ELEMENTWISE_MIN = 1 << 16
 
 
 class NativeStats(ProcessCounters):
@@ -466,9 +643,11 @@ class NativeStats(ProcessCounters):
 NATIVE_STATS = NativeStats()
 
 _IDX = ctypes.c_ssize_t
+_IDXS = ctypes.POINTER(_IDX)
 _FLOATS = ctypes.POINTER(ctypes.c_float)
 _INT32S = ctypes.POINTER(ctypes.c_int32)
 _INT64S = ctypes.POINTER(ctypes.c_int64)
+_DATA = ctypes.c_void_p
 
 _SIGNATURES = {
     "repro_im2col": (ctypes.c_int, [_FLOATS] + [_IDX] * 12 + [_FLOATS] + [_IDX] * 3),
@@ -480,6 +659,12 @@ _SIGNATURES = {
         [_FLOATS] + [_IDX] * 6 + [_INT32S, _INT32S, _IDX, _FLOATS, ctypes.c_int, _FLOATS]
         + [_IDX] * 3 + [_FLOATS] + [_IDX] * 3,
     ),
+    "repro_channel_stats": (None, [_FLOATS, _IDX, _IDX, _FLOATS, _FLOATS]),
+    "repro_quant_relu": (None, [_IDXS, _IDXS] + [_DATA] * 3 + [ctypes.c_float]),
+    "repro_multiply": (None, [_IDXS, _IDXS] + [_DATA] * 3),
+    "repro_mask_multiply": (None, [_IDXS, _IDXS] + [_DATA] * 3),
+    "repro_bn_normalize": (None, [_IDXS, _IDXS] + [_DATA] * 7),
+    "repro_bn_backward": (None, [_IDXS, _IDXS] + [_DATA] * 6),
 }
 
 
@@ -511,6 +696,45 @@ def library_path(directory: Path, compiler_version: str) -> Path:
     return Path(directory) / f"kernels-{tag}.so"
 
 
+def _compile(cc: str, library: Path) -> None:
+    """Compile :data:`UNITS` concurrently and link them into ``library``.
+
+    The sources and objects sit next to ``library`` and are removed after.
+    """
+    sources = [library.with_name(f"{library.name}.{i}.c") for i in range(len(UNITS))]
+    objects = [source.with_suffix(".o") for source in sources]
+    compiles = []
+    try:
+        for unit, source, obj in zip(UNITS, sources, objects):
+            source.write_text(unit)
+            compiles.append(
+                subprocess.Popen(
+                    [cc, *CFLAGS, "-c", "-o", str(obj), str(source)],
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        for proc in compiles:
+            _, stderr = proc.communicate(timeout=300)
+            if proc.returncode != 0:
+                raise NativeUnavailable(f"{cc} failed: {stderr.strip()[:500]}")
+        done = subprocess.run(
+            [cc, "-shared", "-o", str(library), *map(str, objects)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if done.returncode != 0:
+            raise NativeUnavailable(f"{cc} failed: {done.stderr.strip()[:500]}")
+    finally:
+        for proc in compiles:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        for leftover in (*sources, *objects):
+            leftover.unlink(missing_ok=True)
+
+
 def build_library(directory: Path, cc: str, compiler_version: str) -> Path:
     """Compile the kernels into ``directory`` unless published; returns the path.
 
@@ -529,15 +753,7 @@ def build_library(directory: Path, cc: str, compiler_version: str) -> Path:
         with TRACER.span("native.build", cat="native", digest=DIGEST, compiler=compiler_version) as span:
             start = perf_counter()
             with atomic_path(path, suffix=".so") as tmp:
-                done = subprocess.run(
-                    [cc, *CFLAGS, "-x", "c", "-o", str(tmp), "-"],
-                    input=SOURCE,
-                    capture_output=True,
-                    text=True,
-                    timeout=300,
-                )
-                if done.returncode != 0:
-                    raise NativeUnavailable(f"{cc} failed: {done.stderr.strip()[:500]}")
+                _compile(cc, tmp)
             span["seconds"] = round(perf_counter() - start, 4)
         NATIVE_STATS.builds += 1
     return path
@@ -655,6 +871,144 @@ class Kernels:
             argmax.ctypes.data_as(_INT64S), n, c, h, w, self._floats(grad),
         )
         return None if bad else grad
+
+    def channel_stats(self, x: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(mean, var)`` over axes ``(0, 2, 3)`` of a dense channels-last ``x``.
+
+        ``None`` unless ``x`` is float32 with ``C >= 2`` and channels-last
+        strides (those of length-1 axes aside): other layouts reduce in
+        another order.
+        """
+        n, c, h, w = x.shape
+        if x.dtype != np.float32 or not x.flags.aligned or c < 2 or n * h * w == 0:
+            return None
+        dense = (h * w * c, 1, w * c, c)
+        if any(size > 1 and stride != 4 * want for size, stride, want in zip(x.shape, x.strides, dense)):
+            return None
+        mean, var = np.empty(c, np.float32), np.empty(c, np.float32)
+        self._lib.repro_channel_stats(self._floats(x), n * h * w, c, self._floats(mean), self._floats(var))
+        return mean, var
+
+    @staticmethod
+    def _dense_order(a: np.ndarray) -> Optional[Tuple[int, ...]]:
+        """``a``'s axes, outermost in memory first, if ``a`` is a transposed
+        C-contiguous array of at most 4 axes, none of length 0 or 1."""
+        if a.ndim > 4 or 0 in a.shape or 1 in a.shape or not a.flags.aligned:
+            return None
+        order = sorted(range(a.ndim), key=lambda axis: -a.strides[axis])
+        step = a.itemsize
+        for axis in reversed(order):
+            if a.strides[axis] != step:
+                return None
+            step *= a.shape[axis]
+        return tuple(order)
+
+    @classmethod
+    def _result_order(cls, *arrays: np.ndarray) -> Optional[Tuple[int, ...]]:
+        """The memory order numpy gives an elementwise result over ``arrays``.
+
+        That is their order where all agree, and C order where they disagree
+        and one is C-contiguous.  ``None`` in every other case (an operand
+        that is not dense, or has a length-1 axis), and for arrays smaller
+        than :data:`ELEMENTWISE_MIN`: numpy runs there.
+        """
+        if arrays[0].size < ELEMENTWISE_MIN:
+            return None
+        orders = {cls._dense_order(a) for a in arrays}
+        if None in orders:
+            return None
+        if len(orders) > 1:
+            c_order = tuple(range(arrays[0].ndim))
+            return c_order if c_order in orders else None
+        return orders.pop()
+
+    @staticmethod
+    def _empty(shape: Tuple[int, ...], order: Tuple[int, ...], dtype) -> np.ndarray:
+        """A fresh array of ``shape`` laid out in memory in ``order``."""
+        if order == tuple(range(len(order))):
+            return np.empty(shape, dtype)
+        inverse = sorted(range(len(order)), key=order.__getitem__)
+        return np.empty(tuple(shape[axis] for axis in order), dtype).transpose(inverse)
+
+    def _elementwise(self, name: str, order: Tuple[int, ...], operands, *scalars) -> None:
+        """Run the elementwise pass ``name`` over same-shape ``operands``.
+
+        The axes run in ``order`` (the result's memory order), merged
+        wherever every operand steps through two neighbours as through one.
+        """
+        dims = [operands[0].shape[axis] for axis in order]
+        strides = [[a.strides[axis] // a.itemsize for axis in order] for a in operands]
+        for i in reversed(range(len(dims) - 1)):
+            if all(st[i] == st[i + 1] * dims[i + 1] for st in strides):
+                dims[i : i + 2] = [dims[i] * dims[i + 1]]
+                for st in strides:
+                    del st[i]
+        pad = 4 - len(dims)
+        flat = [stride for st in strides for stride in [0] * pad + st]
+        getattr(self._lib, name)(
+            (_IDX * 4)(*[1] * pad, *dims),
+            (_IDX * len(flat))(*flat),
+            *(a.ctypes.data for a in operands),
+            *scalars,
+        )
+
+    @staticmethod
+    def _per_channel(shape: Tuple[int, ...], *vectors: np.ndarray):
+        """Float32 ``(C,)`` vectors as ``shape``-broadcast operands, or ``None``."""
+        if any(v.dtype != np.float32 or v.shape != (shape[1],) for v in vectors):
+            return None
+        return [np.broadcast_to(np.ascontiguousarray(v).reshape(1, -1, 1, 1), shape) for v in vectors]
+
+    def quant_relu(self, x: np.ndarray, bits: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(out, mask)`` of the ``bits``-bit quantised ReLU, or ``None``."""
+        order = self._result_order(x) if x.dtype == np.float32 and 1 <= bits <= 23 else None
+        if order is None:
+            return None
+        out, mask = self._empty(x.shape, order, np.float32), self._empty(x.shape, order, np.bool_)
+        self._elementwise("repro_quant_relu", order, (x, out, mask), float((1 << bits) - 1))
+        return out, mask
+
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+        """``a * b`` for a float32 ``a`` and a float32 or bool ``b`` of its shape.
+
+        ``None`` where both share one layout too: numpy's contiguous pass is
+        as fast as this one.
+        """
+        if a.dtype != np.float32 or b.dtype not in (np.float32, np.bool_) or a.shape != b.shape:
+            return None
+        order = self._result_order(a, b)
+        if order is None or self._dense_order(a) == self._dense_order(b):
+            return None
+        out = self._empty(a.shape, order, np.float32)
+        name = "repro_multiply" if b.dtype == np.float32 else "repro_mask_multiply"
+        self._elementwise(name, order, (a, b, out))
+        return out
+
+    def bn_normalize(
+        self, x: np.ndarray, mean: np.ndarray, std: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(x_hat, out)`` of BatchNorm's normalise and scale-shift, or ``None``."""
+        order = self._result_order(x) if x.dtype == np.float32 and x.ndim == 4 else None
+        vectors = None if order is None else self._per_channel(x.shape, mean, std, gamma, beta)
+        if vectors is None:
+            return None
+        x_hat, out = self._empty(x.shape, order, np.float32), self._empty(x.shape, order, np.float32)
+        self._elementwise("repro_bn_normalize", order, (x, *vectors, x_hat, out))
+        return x_hat, out
+
+    def bn_backward(
+        self, grad_xhat: np.ndarray, x_hat: np.ndarray, m1: np.ndarray, m2: np.ndarray, std: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """``(grad_xhat - m1 - x_hat * m2) / std``, per channel, or ``None``."""
+        if not grad_xhat.dtype == x_hat.dtype == np.float32 or grad_xhat.shape != x_hat.shape:
+            return None
+        order = self._result_order(grad_xhat, x_hat) if x_hat.ndim == 4 else None
+        vectors = None if order is None else self._per_channel(x_hat.shape, m1, m2, std)
+        if vectors is None:
+            return None
+        out = self._empty(x_hat.shape, order, np.float32)
+        self._elementwise("repro_bn_backward", order, (grad_xhat, x_hat, *vectors, out))
+        return out
 
     def lut_gemm(
         self,

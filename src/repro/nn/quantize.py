@@ -20,6 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.nn import functional as F
+from repro.nn import native
 from repro.nn.layers import Conv2d, Linear, Module, Parameter
 
 
@@ -30,7 +32,8 @@ def quantize_tensor(x: np.ndarray, bits: int) -> np.ndarray:
     if bits >= 32:
         return np.asarray(x, dtype=np.float32)
     levels = float((1 << bits) - 1)
-    return (np.round(np.asarray(x, dtype=np.float32) * levels) / levels).astype(np.float32)
+    quantised = np.round(np.asarray(x, dtype=np.float32) * levels) / levels
+    return quantised.astype(np.float32, copy=False)
 
 
 def quantize_weights(w: np.ndarray, bits: int) -> np.ndarray:
@@ -41,7 +44,7 @@ def quantize_weights(w: np.ndarray, bits: int) -> np.ndarray:
     t = np.tanh(w)
     max_abs = np.max(np.abs(t)) + 1e-12
     normalised = t / (2.0 * max_abs) + 0.5
-    return (2.0 * quantize_tensor(normalised, bits) - 1.0).astype(np.float32)
+    return (2.0 * quantize_tensor(normalised, bits) - 1.0).astype(np.float32, copy=False)
 
 
 def quantize_activations(x: np.ndarray, bits: int) -> np.ndarray:
@@ -57,13 +60,8 @@ class QuantConv2d(Conv2d):
         super().__init__(*args, **kwargs)
         self.bits = bits
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        real_weight = self.weight.value
-        try:
-            self.weight.value = quantize_weights(real_weight, self.bits)
-            return super().forward(x)
-        finally:
-            self.weight.value = real_weight
+    def forward_weight(self) -> np.ndarray:
+        return quantize_weights(self.weight.value, self.bits)
 
     # backward() inherited: straight-through estimator uses the exact-layer
     # gradient formulas with the latent full-precision weights.
@@ -82,13 +80,8 @@ class QuantLinear(Linear):
         super().__init__(*args, **kwargs)
         self.bits = bits
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        real_weight = self.weight.value
-        try:
-            self.weight.value = quantize_weights(real_weight, self.bits)
-            return super().forward(x)
-        finally:
-            self.weight.value = real_weight
+    def forward_weight(self) -> np.ndarray:
+        return quantize_weights(self.weight.value, self.bits)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuantLinear({self.in_features}, {self.out_features}, bits={self.bits})"
@@ -109,13 +102,17 @@ class QuantReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x > 0) & (x < 1)
-        return quantize_activations(x, self.bits)
+        kernels = native.BACKEND.kernels()
+        done = None if kernels is None else kernels.quant_relu(x, self.bits)
+        if done is None:
+            done = quantize_activations(x, self.bits), (x > 0) & (x < 1)
+        out, self._mask = done
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        return (grad_out * self._mask).astype(np.float32)
+        return F.relu_backward(grad_out, self._mask)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuantReLU(bits={self.bits})"

@@ -213,18 +213,21 @@ def _units_worker_init(units: Dict[str, TrainingUnit]) -> None:
     _WORKER_UNITS = units
 
 
-def _train_unit(name: str) -> Tuple[bool, Dict[str, int]]:
+def _train_unit(name: str) -> Tuple[Optional[float], Dict[str, int]]:
     """Train (or, if published meanwhile, load) one zoo unit in a worker.
 
-    Returns whether this worker trained it and its kernel-counter delta,
-    which the parent folds into the run telemetry (a DA-victim substitute
-    queries the approximate kernels while it trains).
+    Returns the seconds this worker spent training it (``None`` if it only
+    loaded it) and its kernel-counter delta, which the parent folds into the
+    run telemetry (a DA-victim substitute queries the approximate kernels
+    while it trains).
     """
     FAULTS.maybe_crash(f"zoo:{name}")
     trained_mark = len(TRAINED_UNITS)
     kernel_mark = KERNEL_STATS.snapshot()
     _WORKER_UNITS[name].resolve()
-    return len(TRAINED_UNITS) > trained_mark, KERNEL_STATS.delta(kernel_mark)
+    trained = TRAINED_UNITS[trained_mark:]
+    seconds = sum(s for _, s in trained) if trained else None
+    return seconds, KERNEL_STATS.delta(kernel_mark)
 
 
 @dataclass
@@ -378,7 +381,7 @@ class ParallelEngine:
                     for future in done:
                         name = inflight.pop(future)
                         try:
-                            trained, kernels = future.result()
+                            seconds, kernels = future.result()
                         except BrokenProcessPool:
                             broken = True  # a worker died and took the pool with it
                             continue
@@ -395,8 +398,8 @@ class ParallelEngine:
                         published.add(name)
                         for deps in waits.values():
                             deps.discard(name)
-                        if trained:
-                            runner.telemetry.zoo_pool.append(name)
+                        if seconds is not None:
+                            runner.telemetry.zoo_pool.append((name, seconds))
                         runner.telemetry.fold_worker({"kernels": kernels})
                     broken = broken or not submit_ready()
                 span["published"] = len(published)

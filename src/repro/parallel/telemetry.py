@@ -20,7 +20,7 @@ truthful whole-run sums regardless of where the work ran.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
@@ -98,8 +98,9 @@ class RunTelemetry:
     #: :data:`repro.experiments.zoo.TRAINED_UNITS`); :meth:`zoo_training`
     #: reports the units trained since
     zoo_mark: int = field(default_factory=_zoo_mark)
-    #: units the engine's training pool trained, and that phase's wall time
-    zoo_pool: List[str] = field(default_factory=list)
+    #: ``(unit, training seconds)`` the engine's training pool trained, and
+    #: that phase's wall time
+    zoo_pool: List[Tuple[str, float]] = field(default_factory=list)
     zoo_pool_s: float = 0.0
     #: merged-trace summary ({"path", "spans", "pids"}) when the run was
     #: traced (``REPRO_TRACE``); ``None`` otherwise
@@ -202,16 +203,18 @@ class RunTelemetry:
     def zoo_training(self) -> Dict[str, Any]:
         """Where this run's zoo training ran: pool units, parent units, wall.
 
-        ``wall_s`` is the training pool's wall time plus the seconds this
-        process spent training units itself (the ``--jobs 1`` path, or
-        units the pool failed to publish).
+        ``unit_s`` holds each trained unit's training seconds, wherever it
+        trained.  ``wall_s`` is the training pool's wall time plus the
+        seconds this process spent training units itself (the ``--jobs 1``
+        path, or units the pool failed to publish).
         """
         from repro.experiments.zoo import TRAINED_UNITS
 
         parent = TRAINED_UNITS[self.zoo_mark :]
         return {
-            "pool": list(self.zoo_pool),
+            "pool": [name for name, _ in self.zoo_pool],
             "parent": [name for name, _ in parent],
+            "unit_s": {name: round(seconds, 3) for name, seconds in [*self.zoo_pool, *parent]},
             "wall_s": round(self.zoo_pool_s + sum(seconds for _, seconds in parent), 3),
         }
 

@@ -2,9 +2,13 @@
 
 import json
 import os
+import platform
+import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main
 
@@ -154,3 +158,53 @@ def test_module_entry_point_runs_fast_experiment(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "results" / "table09_mantissa_energy.txt").exists()
     assert (tmp_path / "results" / "table09_mantissa_energy.json").exists()
+
+
+#: ten "steps" that each hold five 20 MB temporaries (a DQ step's largest
+#: are 19 MB) and free them; prints the minor faults of steps 2-10, then the
+#: resident pages that releasing the freed memory gives back
+_STEPS = """
+import resource, sys
+import numpy as np
+from repro.allocator import keep_freed_memory_mapped, release_freed_memory
+if sys.argv[1] == "run":
+    keep_freed_memory_mapped()
+def step():
+    return [np.ones(5_000_000, np.float32) for _ in range(5)]
+def resident():
+    return int(open("/proc/self/statm").read().split()[1])
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(9):
+    step()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+kept = resident()
+release_freed_memory()
+print(faults, kept - resident())
+"""
+
+
+def test_run_keeps_freed_training_temporaries_mapped():
+    """Under glibc's defaults the freed heap top is trimmed, so every step
+    faults its temporaries in again; under the thresholds `run` sets, the
+    next step reuses them, and releasing them after a model has trained
+    hands the memory back."""
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the thresholds are glibc's")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", _STEPS, mode], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return [int(value) for value in proc.stdout.split()]
+
+    step_pages = 100_000_000 // resource.getpagesize()
+    default, _ = run("default")
+    faults, released = run("run")
+    assert default > step_pages // 10  # the trimmed top faulted in again, step after step
+    assert faults * 20 < default
+    assert released > step_pages // 2

@@ -28,7 +28,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.faults import FAULT_STATS, FAULTS, FaultInjector, FaultSpec
-from repro.nn import BatchNorm2d, Conv2d, MaxPool2d, ReLU, Sequential, native
+from repro.nn import (
+    BatchNorm2d,
+    Conv2d,
+    MaxPool2d,
+    QuantConv2d,
+    QuantReLU,
+    ReLU,
+    Sequential,
+    native,
+)
 from repro.nn import functional as F
 from repro.parallel.telemetry import RunTelemetry
 
@@ -74,26 +83,51 @@ def using(backend):
         native.BACKEND = saved
 
 
-def assert_same(got, want):
-    """Equal dtype, shape, strides and bytes."""
+@contextmanager
+def every_size():
+    """The compiled elementwise passes serve arrays of any size."""
+    saved = native.ELEMENTWISE_MIN
+    native.ELEMENTWISE_MIN = 1
+    try:
+        yield
+    finally:
+        native.ELEMENTWISE_MIN = saved
+
+
+def assert_same(got, want, nan_payloads=True):
+    """Equal dtype, shape, strides and bytes.
+
+    ``nan_payloads=False`` compares every NaN as one: where two NaNs meet in
+    a sum or product, which one survives depends on the operand order, and
+    C compilers (numpy's loops included) may commute those operations.
+    """
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.strides == want.strides
+    if not nan_payloads and got.dtype.kind == "f":
+        got, want = (np.where(np.isnan(a), np.float32("nan"), a) for a in (got, want))
     assert got.tobytes() == want.tobytes()
 
 
 @st.composite
-def images(draw, min_side=1):
-    """``(N, C, H, W)`` float32 inputs: C-order, channels-last, sliced or flipped strides."""
-    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    h, w = draw(st.integers(min_side, 7)), draw(st.integers(min_side, 7))
+def images(draw, min_side=1, shape=None, dtype=np.float32, elements=VALUES):
+    """``(N, C, H, W)`` inputs: C-order, channels-last, sliced or flipped strides.
+
+    ``shape`` fixes the shape (an operand to pair with another), ``dtype``
+    and ``elements`` the values.
+    """
+    if shape is None:
+        n, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        h, w = draw(st.integers(min_side, 7)), draw(st.integers(min_side, 7))
+    else:
+        n, c, h, w = shape
     layout = draw(st.sampled_from(["c", "channels_last", "sliced", "flipped"]))
     if layout == "channels_last":
-        nhwc = draw(hnp.arrays(np.float32, (n, h, w, c), elements=VALUES))
+        nhwc = draw(hnp.arrays(dtype, (n, h, w, c), elements=elements))
         return nhwc.transpose(0, 3, 1, 2)
     if layout == "sliced":
-        wide = draw(hnp.arrays(np.float32, (n, c, h, 2 * w), elements=VALUES))
+        wide = draw(hnp.arrays(dtype, (n, c, h, 2 * w), elements=elements))
         return wide[:, :, :, ::2]
-    x = draw(hnp.arrays(np.float32, (n, c, h, w), elements=VALUES))
+    x = draw(hnp.arrays(dtype, (n, c, h, w), elements=elements))
     return x[:, ::-1, :, ::-1] if layout == "flipped" else x
 
 
@@ -172,6 +206,131 @@ def test_inputs_the_kernels_do_not_serve_take_the_numpy_path():
     out, argmax = F.maxpool2d_forward(x64.astype(np.float32))
     with pytest.raises(IndexError):  # an index outside the window, as numpy reports it
         F.maxpool2d_backward(np.ones_like(out), argmax + 10, x64.shape)
+
+
+# ------------------------------------------------- BatchNorm and activations
+def channels_last(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+@SETTINGS
+@given(x=images())
+@np.errstate(all="ignore")
+def test_batchnorm_statistics_match_numpy(native_kernels, x):
+    for batch in (x, channels_last(x)):
+        mean, var = F.batchnorm_statistics(batch)
+        assert_same(mean, batch.mean(axis=(0, 2, 3)), nan_payloads=False)
+        assert_same(var, batch.var(axis=(0, 2, 3)), nan_payloads=False)
+    # the compiled pass serves every dense channels-last batch of C >= 2
+    assert (native_kernels.channel_stats(channels_last(x)) is not None) == (x.shape[1] > 1)
+
+
+@SETTINGS
+@given(a=images(), data=st.data())
+@np.errstate(all="ignore")
+def test_multiply_matches_numpy(native_kernels, a, data):
+    if data.draw(st.booleans()):
+        b = data.draw(images(shape=a.shape, dtype=np.bool_, elements=st.booleans()))
+    else:
+        b = data.draw(images(shape=a.shape))
+    with every_size():
+        assert_same(F.multiply(a, b), a * b, nan_payloads=False)
+        if 1 not in a.shape:  # dense operands in two layouts, one C-contiguous
+            a, b = channels_last(a), np.ascontiguousarray(b)
+            product = native_kernels.multiply(a, b)
+            assert product is not None
+            assert_same(product, a * b, nan_payloads=False)
+
+
+def test_long_rows_of_two_layouts_match_numpy(native_kernels, numpy_backend):
+    """A C-order result over a channels-last operand, with rows of 24*24
+    elements, as the products and BatchNorm of a training step have them."""
+    rng = np.random.default_rng(4)
+    a = rng.choice(np.array(EDGES, np.float32), (2, 3, 24, 24))
+    b = channels_last(rng.standard_normal((2, 3, 24, 24)).astype(np.float32))
+
+    def step():
+        layer = BatchNorm2d(3)
+        layer.set_training(True)
+        return layer.forward(b), layer.backward(a), layer.gamma.grad, layer.beta.grad
+
+    with np.errstate(all="ignore"), every_size():
+        for other in (b, b > 0):
+            product = native_kernels.multiply(a, other)
+            assert product is not None
+            assert_same(product, a * other, nan_payloads=False)
+        got = step()
+        with using(numpy_backend):
+            want = step()
+    for x, y in zip(got, want):
+        assert_same(x, y, nan_payloads=False)
+
+
+#: activations around QuantReLU's levels: exact half levels of odd L, 1 - ulp
+LEVELS = st.sampled_from([0.5, 0.25, 0.75, 1 / 3, 2 / 3, 0.99999994, 1e-8]) | VALUES
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (2, 9), (3, 5), (2, 3, 4, 5)])
+def test_quant_relu_edge_values_at_every_position(numpy_backend, shape):
+    """Each edge value in each position of the 4-wide blocks and the tail."""
+    edges = np.array(EDGES + [0.5, 0.25, 1 / 3, 0.99999994, 7.0], np.float32)
+    size = int(np.prod(shape))
+    for shift in range(4):
+        x = np.roll(np.resize(edges, size), shift).reshape(shape)
+        for bits in (1, 4, 8):
+            with every_size(), np.errstate(all="ignore"):
+                got = native.BACKEND.kernels().quant_relu(x, bits)
+                with using(numpy_backend):
+                    layer = QuantReLU(bits)
+                    want = (layer.forward(x), layer._mask)
+            for a, b in zip(got, want):
+                assert_same(a, b)
+
+
+@SETTINGS
+@given(x=images(elements=LEVELS), bits=st.sampled_from([1, 2, 3, 4, 8, 23, 24, 32]), data=st.data())
+@np.errstate(all="ignore")
+def test_quant_relu_matches_numpy(numpy_backend, x, bits, data):
+    if data.draw(st.booleans()):  # a dense layer's (N, F) activations
+        x = x.reshape(len(x), -1)
+    grad = data.draw(hnp.arrays(np.float32, x.shape, elements=VALUES))
+    if x.ndim == 4 and data.draw(st.booleans()):
+        grad = channels_last(grad)
+
+    def run(layer):
+        out = layer.forward(x)
+        return out, layer._mask, layer.backward(grad)
+
+    with every_size():
+        got = run(QuantReLU(bits))
+    with using(numpy_backend):
+        want = run(QuantReLU(bits))
+    for a, b in zip(got, want):
+        assert_same(a, b)
+
+
+@SETTINGS
+@given(x=images(), training=st.booleans(), data=st.data())
+@np.errstate(all="ignore")
+def test_batchnorm_matches_numpy(numpy_backend, x, training, data):
+    c = x.shape[1]
+    vectors = [data.draw(hnp.arrays(np.float32, (c,), elements=VALUES)) for _ in range(4)]
+    grad = data.draw(images(shape=x.shape))
+
+    def run():
+        layer = BatchNorm2d(c)
+        layer.gamma.value, layer.beta.value, layer.running_mean, layer.running_var = vectors
+        layer.set_training(training)
+        out = layer.forward(x)
+        grad_in = layer.backward(grad)
+        return out, grad_in, layer.gamma.grad, layer.beta.grad, layer.running_mean, layer.running_var
+
+    with every_size():
+        got = run()
+    with using(numpy_backend):
+        want = run()
+    for a, b in zip(got, want):
+        assert_same(a, b, nan_payloads=False)
 
 
 # --------------------------------------------------------------- convolution
@@ -258,26 +417,52 @@ def test_training_output_is_channels_last_in_memory():
     assert out.strides == (8 * 8 * 5 * 4, 4, 8 * 5 * 4, 5 * 4)
 
 
+def _stack(kind, rng):
+    """Conv -> BN -> act -> pool -> BN -> act -> conv: BatchNorm and the
+    activation see a channels-last input (a training convolution's output)
+    and a C-contiguous one (the pool's)."""
+    if kind == "quant":
+        conv, act = (lambda *a, **k: QuantConv2d(*a, bits=4, **k)), (lambda: QuantReLU(bits=4))
+    else:
+        conv, act = Conv2d, ReLU
+    return Sequential(
+        [conv(3, 6, 3, padding=1, rng=rng), BatchNorm2d(6), act(), MaxPool2d(2),
+         BatchNorm2d(6), act(), conv(6, 4, 3, rng=rng), act(), MaxPool2d(2)]
+    )
+
+
 def test_a_training_step_gives_the_numpy_bytes(numpy_backend):
-    """Conv -> BN -> ReLU -> pool, forward and backward, in training mode."""
+    """A training step and an eval pass of a conv/BatchNorm/(Quant)ReLU stack,
+    exact and quantised, on an NCHW and a channels-last input.
 
-    def step():
+    The compiled passes serve every array here, however small.
+    """
+
+    def step(kind, layout):
         rng = np.random.default_rng(3)
-        model = Sequential(
-            [Conv2d(3, 6, 3, padding=1, rng=rng), BatchNorm2d(6), ReLU(), MaxPool2d(2),
-             Conv2d(6, 4, 3, rng=rng), ReLU(), MaxPool2d(2)]
-        )
+        model = _stack(kind, rng)
         model.set_training(True)
-        x = rng.standard_normal((8, 3, 12, 12)).astype(np.float32)
+        x = rng.standard_normal((8, 12, 12, 3)).astype(np.float32).transpose(0, 3, 1, 2)
+        if layout == "nchw":
+            x = np.ascontiguousarray(x)
         out = model.forward(x)
-        grad = model.backward(np.ones_like(out))
-        return [out, grad] + [p.grad for p in model.parameters()]
+        grad = model.backward(np.linspace(-1.0, 1.0, out.size, dtype=np.float32).reshape(out.shape))
+        grads = [p.grad.copy() for p in model.parameters()]
+        norms = [layer for layer in model.layers if isinstance(layer, BatchNorm2d)]
+        stats = [s for layer in norms for s in (layer.running_mean, layer.running_var)]
+        model.set_training(False)
+        evaluated = model.forward(x)
+        return [out, grad, evaluated, model.backward(np.ones_like(out))] + grads + stats
 
-    got = step()
-    with using(numpy_backend):
-        want = step()
-    for a, b in zip(got, want):
-        assert_same(a, b)
+    for kind in ("exact", "quant"):
+        for layout in ("nchw", "channels_last"):
+            with every_size():
+                got = step(kind, layout)
+            with using(numpy_backend):
+                want = step(kind, layout)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert_same(a, b)
 
 
 # ----------------------------------------------------------------- the build

@@ -6,9 +6,19 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_digits
-from repro.nn import Adam, CrossEntropyLoss, build_lenet5, evaluate_accuracy, train_classifier
+from repro.nn import (
+    Adam,
+    CrossEntropyLoss,
+    build_dq_cnn,
+    build_lenet5,
+    evaluate_accuracy,
+    train_classifier,
+)
+from repro.nn import native
 from repro.nn.layers import Flatten, Linear, ReLU
 from repro.nn.network import Sequential
+
+from numerics_probe import PINNED_PROBE, numerics_probe_sha256
 
 
 def small_mlp(in_features=16, classes=3, seed=0):
@@ -109,28 +119,7 @@ def weights_sha256(model):
     return digest.hexdigest()
 
 
-def numerics_probe_sha256():
-    """SHA-256 of plain numpy/BLAS results at the pinned model's GEMM shapes.
-
-    Float rounding of matmul and the transcendental ufuncs depends on the
-    BLAS build, its CPU kernels and the numpy version; this probe tells
-    whether the platform rounds like the one the pin was recorded on.
-    """
-    rng = np.random.default_rng(0)
-    digest = hashlib.sha256()
-    for m, k, n in ((3200, 9, 4), (4, 3200, 9), (288, 36, 8), (32, 24, 16), (16, 32, 10)):
-        a = rng.standard_normal((m, k)).astype(np.float32)
-        b = rng.standard_normal((k, n)).astype(np.float32)
-        digest.update((a @ b).tobytes())
-    x = rng.standard_normal((32, 10)).astype(np.float32)
-    outputs = (np.exp(x), np.log(np.abs(x) + 1e-3), np.sqrt(np.abs(x)), x.sum(0), x.mean(1))
-    for out in outputs:
-        digest.update(np.ascontiguousarray(out).tobytes())
-    return digest.hexdigest()
-
-
-#: recorded together on one platform (x86-64, OpenBLAS 0.3.31, numpy 2.4)
-PINNED_PROBE = "d7cd723621b0695173c3abc391782ef066fd74877d0a0ae39c650930135b8717"
+#: recorded on the platform whose probe is PINNED_PROBE
 PINNED_WEIGHTS = "a29c70842aa17b0d00856d6b49e490e20af4fdb7d164a0cf92ee31223813318a"
 
 
@@ -148,6 +137,36 @@ def test_trained_weights_are_pinned():
     optimizer = Adam(model.parameters(), lr=0.003)
     train_classifier(model, optimizer, dataset.images, dataset.labels, epochs=3, batch_size=32)
     assert weights_sha256(model) == PINNED_WEIGHTS
+
+
+#: weights (BatchNorm running statistics included) after six Adam steps of a
+#: small DQ CNN in each mode, recorded on the pinned platform
+PINNED_DQ_WEIGHTS = {
+    "full": "8c880381258fd625de40d69b938ea7b13b6d8fcc7276157c795d3805e1fc66c9",
+    "weight": "dc63ab686d812a086796144764b1f60a9a20fe294d9af7808b3a550aec30c0da",
+}
+
+
+@pytest.mark.parametrize("elementwise_min", [native.ELEMENTWISE_MIN, 1])
+@pytest.mark.parametrize("mode", sorted(PINNED_DQ_WEIGHTS))
+def test_dq_training_weights_are_pinned(mode, elementwise_min, monkeypatch):
+    """Quantised convs, BatchNorm on channels-last and NCHW inputs, QuantReLU:
+    a change to any of their training passes that moves a bit fails here.
+
+    ``elementwise_min=1`` runs every BatchNorm and activation pass the
+    compiled kernels serve through them, however small the array.
+    """
+    if numerics_probe_sha256() != PINNED_PROBE:
+        pytest.skip("this platform's BLAS/ufunc rounding differs from the pinned one's")
+    monkeypatch.setattr(native, "ELEMENTWISE_MIN", elementwise_min)
+    rng = np.random.default_rng(8)
+    x = rng.random((48, 3, 16, 16), dtype=np.float32)
+    y = rng.integers(0, 10, 48)
+    model = build_dq_cnn(
+        (3, 16, 16), mode=mode, conv_channels=(4, 4, 6, 6, 8, 8), fc_sizes=(16, 12), seed=5
+    )
+    train_classifier(model, Adam(model.parameters(), lr=0.01), x, y, epochs=2, batch_size=16)
+    assert weights_sha256(model) == PINNED_DQ_WEIGHTS[mode]
 
 
 def test_training_history_tracks_validation():

@@ -67,6 +67,25 @@ def test_quant_conv_latent_weights_restored_after_forward():
     np.testing.assert_array_equal(layer.weight.value, before)
 
 
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize(
+    "make, x",
+    [
+        (lambda: QuantConv2d(2, 3, 3, bits=4), np.ones((2, 2, 5, 5), np.float32)),
+        (lambda: QuantLinear(4, 3, bits=4), np.ones((2, 4), np.float32)),
+    ],
+)
+def test_quant_forward_leaves_the_latent_parameter_untouched(make, x, training):
+    """The forward pass computes on the quantised weight without assigning
+    it: the Parameter keeps its array and version (threads may share it)."""
+    layer = make()
+    layer.set_training(training)
+    value, version = layer.weight.value, layer.weight.version
+    layer.backward(np.ones_like(layer.forward(x)))
+    assert layer.weight.value is value
+    assert layer.weight.version == version
+
+
 def test_quant_linear_forward_and_backward():
     layer = QuantLinear(4, 3, bits=4, rng=np.random.default_rng(4))
     x = np.random.default_rng(5).uniform(0, 1, size=(2, 4)).astype(np.float32)

@@ -134,6 +134,9 @@ def test_pool_trained_units_equal_serially_trained_ones(tmp_path, monkeypatch, t
     zoo_run = pooled_runner.telemetry.zoo_training()
     assert sorted(zoo_run["pool"]) == unit_names() and zoo_run["parent"] == []
     assert zoo_run["wall_s"] > 0
+    # each unit's training seconds, as the worker that trained it measured them
+    assert sorted(zoo_run["unit_s"]) == unit_names()
+    assert all(seconds > 0 for seconds in zoo_run["unit_s"].values())
     assert pooled.telemetry["zoo"] == {"scope": "run", **zoo_run}
     assert pooled_runner.telemetry.faults["zoo_fallbacks"] == 0
 
@@ -173,6 +176,7 @@ def test_units_the_pool_fails_to_publish_are_trained_by_the_parent(
     assert runner.telemetry.faults["worker_crashes"] == (failure == "crash")
     zoo_run = runner.telemetry.zoo_training()
     assert zoo_run["pool"] == [] and sorted(zoo_run["parent"]) == unit_names()
+    assert sorted(zoo_run["unit_s"]) == unit_names()
 
 
 @needs_fork
@@ -190,7 +194,9 @@ def test_warm_zoo_spawns_no_training_pool(tmp_path, monkeypatch, tiny_zoo):
     runner, result = run_into(zoo_dir, monkeypatch, tmp_path, jobs=2)
     assert result.cache_misses == 2  # fresh cell cache: the cell pool did run
     assert initializers and engine._units_worker_init not in initializers
-    assert runner.telemetry.zoo_training() == {"pool": [], "parent": [], "wall_s": 0.0}
+    assert runner.telemetry.zoo_training() == {
+        "pool": [], "parent": [], "unit_s": {}, "wall_s": 0.0
+    }
 
 
 @needs_fork
