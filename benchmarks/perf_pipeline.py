@@ -1,9 +1,10 @@
 """Pipeline throughput benchmark: serial vs sharded multi-process execution.
 
-Times the fast-profile :data:`~repro.pipeline.catalog.FAST_PERF_SUBSET`
-workload (12 unique grid cells across 4 experiments) three ways and writes
-``BENCH_pipeline.json`` at the repository root -- the seed of the pipeline's
-performance trajectory across PRs:
+Times the whole fast catalog over a warm fast zoo (:data:`WORKLOAD`: 17
+experiments, 63 unique grid cells, over a second of serial compute, enough
+for a pool's speedup to show) three ways and writes ``BENCH_pipeline.json``
+at the repository root -- the seed of the pipeline's performance
+trajectory across PRs:
 
 * ``jobs=1``, cold cell cache -- the serial baseline (best of 2 trials);
 * ``jobs=auto``, cold cell cache -- the parallel engine (identical results,
@@ -21,8 +22,11 @@ run of the workload makes, and reports their product as a fraction of that
 run's wall time; ``--check`` fails if any fraction reaches 2% -- the guard
 that keeps each disabled path an attribute read and an ``if``.
 
-Zoo models are resolved (trained or disk-loaded) once up front so the
-timings isolate pipeline execution, not model training.  Run it directly::
+Every cell of the workload is warmed once up front -- its zoo models
+resolved (trained or disk-loaded), its hardware variants built and their
+GEMM kernels primed -- so the timings isolate pipeline execution, not model
+training, and the pool's forked workers start from the same state as the
+serial run.  Run it directly::
 
     PYTHONPATH=src python benchmarks/perf_pipeline.py [--jobs N] [--out PATH]
 
@@ -45,9 +49,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from common import check_regression, load_baseline, provenance  # noqa: E402
+from repro.parallel.plan import build_plan  # noqa: E402
 from repro.parallel.sharding import resolve_jobs  # noqa: E402
-from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, Runner  # noqa: E402
-from repro.pipeline.catalog import FAST_PERF_SUBSET  # noqa: E402
+from repro.pipeline import (  # noqa: E402
+    NONDETERMINISTIC_RESULT_FIELDS,
+    Runner,
+    get_cell_kind,
+    get_experiment,
+    list_experiments,
+)
+
+#: the experiments every run times: the whole catalog, in catalog order
+WORKLOAD = list_experiments()
 
 #: higher-is-better ratios compared by ``--check``; wall-clock absolutes are
 #: machine-dependent and never gated.  The warm-cache ratio (cold serial wall
@@ -83,7 +96,7 @@ def _timed_run(jobs: int, cache_dir: Path, label: str, trials: int = 1) -> dict:
     for trial in range(max(1, trials)):
         runner = Runner(fast=True, cache_dir=cache_dir / f"trial{trial}", jobs=jobs)
         start = time.perf_counter()
-        results = runner.run_many(list(FAST_PERF_SUBSET))
+        results = runner.run_many(WORKLOAD)
         wall = time.perf_counter() - start
         payloads = []
         for result in results:
@@ -113,7 +126,7 @@ def _warm_run(jobs: int, cache_dir: Path, label: str) -> dict:
     """Re-run the workload against an already-populated cache directory."""
     runner = Runner(fast=True, cache_dir=cache_dir, jobs=jobs)
     start = time.perf_counter()
-    runner.run_many(list(FAST_PERF_SUBSET))
+    runner.run_many(WORKLOAD)
     return {
         "label": label,
         "jobs": runner.jobs,
@@ -152,7 +165,7 @@ def _spans_per_run(tmp: Path, runs: dict):
     TRACER.configure(enabled=True, directory=tmp / "trace-spool")
     try:
         runner = Runner(fast=True, cache_dir=tmp / "traced", jobs=1)
-        runner.run_many(list(FAST_PERF_SUBSET))
+        runner.run_many(WORKLOAD)
         spans = (runner.telemetry.trace or {}).get("spans", 0)
     finally:
         TRACER.configure(enabled=False)
@@ -178,7 +191,7 @@ def _fault_sites_per_run(tmp: Path, runs: dict):
     mark = FAULT_STATS.snapshot()
     try:
         runner = Runner(fast=True, cache_dir=tmp / "faults-armed", jobs=1)
-        runner.run_many(list(FAST_PERF_SUBSET))
+        runner.run_many(WORKLOAD)
         checks = FAULT_STATS.delta(mark).get("checks", 0)
     finally:
         FAULTS.configure(None)
@@ -214,7 +227,7 @@ def _store_reads_per_run(tmp: Path, runs: dict):
     mark = STORE_STATS.snapshot()
     runner = Runner(fast=True, cache_dir=tmp / "serial" / "trial1", jobs=1)
     start = time.perf_counter()
-    runner.run_many(list(FAST_PERF_SUBSET))
+    runner.run_many(WORKLOAD)
     wall = time.perf_counter() - start
     return STORE_STATS.delta(mark).get("reads", 0), wall
 
@@ -262,17 +275,14 @@ def main(argv=None) -> int:
     jobs = resolve_jobs(args.jobs)
     baseline = load_baseline(args.out) if args.check else {}
 
-    # resolve (train or load) the zoo models and build the hardware variants /
-    # multiplier LUTs outside the timed region, so every timed run -- serial
-    # and parallel alike -- starts from the same process state and the
+    # warm every cell of the workload (zoo models, hardware variants, GEMM
+    # kernels) outside the timed region, so every timed run -- serial and
+    # parallel alike -- starts from the same process state and the
     # comparison isolates pipeline execution
     warm = Runner(fast=True)
-    warm.zoo("lenet_digits")
-    from repro.pipeline import ExperimentSpec
-
-    warm_spec = ExperimentSpec(name="__warm__", kind="cell", model="lenet_digits")
-    for variant in ("exact", "da", "heap", "bfloat16"):
-        warm.resolve_variant(warm_spec, variant)
+    plan = build_plan(warm, [get_experiment(name) for name in WORKLOAD])
+    for task in plan.tasks.values():
+        get_cell_kind(task.kind).warm(warm, task.payload)
 
     with tempfile.TemporaryDirectory(prefix="repro-perf-") as tmp:
         tmp = Path(tmp)
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
     record = {
         "benchmark": "pipeline_parallel_execution",
         **provenance(),
-        "workload": list(FAST_PERF_SUBSET),
+        "workload": WORKLOAD,
         "fast_profile": True,
         "platform": platform.platform(),
         "python": platform.python_version(),

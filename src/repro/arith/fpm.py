@@ -22,11 +22,18 @@ width* a parameter (default 8 bits).  For widths up to
 and the emulation becomes a table lookup, which preserves the exact cell-level
 error behaviour at that width while making end-to-end attack experiments run in
 minutes.  ``frac_bits=23`` recovers the paper's full-width datapath (no LUT).
+Each table is cached once per cache directory, as
+``$REPRO_DA_CACHE/tables/<tag>.npy`` (:func:`lut_cache_path`), so a process
+reads the 1 MB table instead of running the gate-level simulation again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 from abc import ABC, abstractmethod
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -48,11 +55,24 @@ MULTIPLIERS = registry("multiplier")
 LUT_MAX_FRAC_BITS = 10
 
 #: process-level LUT memo, keyed by the mantissa array's configuration.
-#: Every multiplier instance of the same design shares one table, so the
-#: exhaustive gate-level tabulation runs once per process -- pipeline workers
-#: rebuild it on first use (or inherit it copy-on-write under ``fork``)
-#: instead of once per resolved variant / noise-profile cell.
+#: Every multiplier instance of the same design shares one table, read (or
+#: tabulated and published) once per process instead of once per resolved
+#: variant / noise-profile cell.
 _LUT_CACHE: Dict[Tuple[str, int, str], np.ndarray] = {}
+
+
+def lut_cache_path(key: Tuple[str, int, str]) -> Path:
+    """Where the exhaustive mantissa LUT of design ``key`` is cached.
+
+    ``$REPRO_DA_CACHE/tables/<tag>.npy``, the tag a digest of the design's
+    :meth:`ApproxFPM._lut_cache_key` and ``ARITH_NUMERICS_VERSION``: a
+    change to what the gate-level arrays compute names new files.
+    """
+    import repro.arith as arith
+
+    root = os.environ.get("REPRO_DA_CACHE", Path.home() / ".cache" / "repro-da")
+    identity = json.dumps([list(key), arith.ARITH_NUMERICS_VERSION])
+    return Path(root) / "tables" / f"{hashlib.sha256(identity.encode()).hexdigest()[:16]}.npy"
 
 
 class Multiplier(ABC):
@@ -190,8 +210,8 @@ class ApproxFPM(Multiplier):
         Falls back to the generic multiply-wrapping kernel for widths beyond
         :data:`LUT_MAX_FRAC_BITS` (gate-level simulation stays authoritative)
         and where the native library is unavailable (no ``cc``, a failed
-        build, or ``kernel.build_fail`` at ``native:<digest>``): the same
-        bytes, slower.
+        build, or ``kernel.build_fail`` at key ``native``): the same bytes,
+        slower.
         """
         from repro.nn import native
 
@@ -235,11 +255,33 @@ class ApproxFPM(Multiplier):
                 return self._lut
             lut = _LUT_CACHE.get(key)
             if lut is None:
-                lut = self.mantissa_multiplier.build_lut()
+                lut = self._load_or_build_lut(key)
                 lut.setflags(write=False)  # shared across instances
                 _LUT_CACHE[key] = lut
             self._lut = lut
         return self._lut
+
+    def _load_or_build_lut(self, key: Tuple[str, int, str]) -> np.ndarray:
+        """The design's LUT from the cache directory, tabulated and published first if missing."""
+        from repro.parallel.locks import load_or_make  # lazy: repro.parallel imports this package
+
+        array = self.mantissa_multiplier
+        size = 1 << array.n_bits
+
+        def read(path: Path) -> np.ndarray:
+            lut = np.load(path)
+            if (
+                not isinstance(lut, np.ndarray)
+                or lut.shape != (size, size)
+                or lut.dtype != array.lut_dtype()
+            ):
+                raise ValueError(f"{path.name}: not a {size}x{size} {array.lut_dtype()} table")
+            return lut
+
+        def write(lut: np.ndarray, tmp: Path) -> None:
+            np.save(tmp, lut)
+
+        return load_or_make(lut_cache_path(key), read, array.build_lut, write)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

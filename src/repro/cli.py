@@ -13,7 +13,8 @@ Commands
     ``POST /jobs`` accepts inline (round-trippable; no cell section).
 ``run <experiment> [...] [--fast] [--jobs N] [--resume] [--remote URL]``
     Execute experiments through the :class:`~repro.pipeline.runner.Runner`,
-    printing the paper-style table and writing ``results/<name>.txt`` and
+    printing each paper-style table as its result lands (with its time since
+    the command started) and writing ``results/<name>.txt`` and
     ``results/<name>.json``.  ``run all`` executes the whole catalog.  The
     run summary ends with ``# paper claims: N/M hold`` and one line per
     violated claim (see :func:`repro.pipeline.catalog.check_claims`); a
@@ -55,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional
 
 from repro.allocator import keep_freed_memory_mapped
@@ -317,7 +319,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, launched: float) -> int:
     names = list_experiments() if "all" in args.experiments else list(args.experiments)
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
     runner = Runner(
@@ -338,8 +340,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(result.table)
         print(
             f"# wrote {args.results_dir}/{result.name}.txt and .json "
-            f"({result.elapsed_seconds:.1f}s, cells: {result.cache_hits} cached / "
-            f"{result.cache_misses} computed)"
+            f"(+{time.perf_counter() - launched:.1f}s, {result.elapsed_seconds:.1f}s, "
+            f"cells: {result.cache_hits} cached / {result.cache_misses} computed)",
+            flush=True,
         )
 
     results = runner.run_many(names, on_result=show)
@@ -359,11 +362,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if zoo["pool"] or zoo["parent"]:
 
         def units(names: List[str]) -> str:
-            return ", ".join(f"{name} {zoo['unit_s'][name]:.1f}s" for name in names)
+            return ", ".join(
+                f"{name} {zoo['unit_s'][name]:.1f}s on pid {zoo['worker'][name]}" for name in names
+            )
 
         print(
             f"# zoo training: pool [{units(zoo['pool'])}], "
-            f"parent [{units(zoo['parent'])}], {zoo['wall_s']:.1f}s wall"
+            f"parent [{units(zoo['parent'])}], {zoo['wall_s']:.1f}s wall "
+            "from the first unit's start to the last one's publication"
         )
     if any(telemetry.faults.values()):
         survived = ", ".join(f"{k}={v}" for k, v in telemetry.faults.items() if v)
@@ -607,6 +613,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    launched = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "list":
@@ -615,7 +622,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_info(args)
         if args.command == "run":
             keep_freed_memory_mapped()
-            return _cmd_run(args)
+            return _cmd_run(args, launched)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "cache":

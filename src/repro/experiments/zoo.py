@@ -28,11 +28,11 @@ Each cached ``.npz`` is one **training unit** (:class:`TrainingUnit`),
 declared as the entry's ``"units"`` metadata: ``lenet_digits`` and
 ``alexnet_objects`` have one each, ``dq_objects`` its full and weight-only
 models, ``substitute_digits`` one per victim (waiting for ``lenet_digits``,
-which its recipe ``depends_on``).  A ``--jobs N`` run trains the missing
-units of a cold zoo concurrently on a fork pool before it resolves any model
-(:mod:`repro.parallel.engine`); every unit publishes through the same lock
-and atomic write, so pool, parent and foreign processes never train one
-twice.
+which its recipe ``depends_on``).  A run schedules the missing units of a
+cold zoo on the same queue as its cells (:mod:`repro.parallel.engine`): a
+``--jobs N`` run trains them on its one worker pool, next to the cells that
+need none of them.  Every unit publishes through the same lock and atomic
+write, so pool, parent and foreign processes never train one twice.
 
 The dataset splits the entries train on are cached the same way, under
 ``splits/`` (:func:`split_cache_path`): generated once per cache directory,
@@ -46,11 +46,10 @@ from __future__ import annotations
 
 import os
 import threading
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,7 +58,7 @@ from repro.datasets import Dataset, DataSplit, generate_digits, generate_objects
 from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
 from repro.nn.network import Sequential
 from repro.obs import TRACER
-from repro.parallel.locks import FileLock, atomic_path
+from repro.parallel.locks import load_or_make
 from repro.registry import registry
 
 #: unified registry of trained-model providers (namespace ``"zoo"``)
@@ -210,52 +209,6 @@ def zoo_cache_path(cache_name: str, recipe_name: str) -> Path:
     return CACHE_DIR / f"{cache_name}_{tag}.npz"
 
 
-T = TypeVar("T")
-
-#: what reading an untrusted cache file raises: a truncated zip, a missing
-#: array, arrays that disagree with the config, an unreadable file
-_UNREADABLE = (KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile)
-
-
-def _read_or_drop(path: Path, read: Callable[[Path], T]) -> Optional[T]:
-    """``read(path)``, or ``None`` when ``path`` is absent or unreadable (then unlinked)."""
-    if not path.exists():
-        return None
-    try:
-        return read(path)
-    except _UNREADABLE:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-
-
-def _load_or_make(
-    path: Path, read: Callable[[Path], T], make: Callable[[], T], write: Callable[[T, Path], None]
-) -> T:
-    """The artifact cached at ``path``: read it, or make it and publish it there.
-
-    Making happens under an advisory file lock, so concurrent processes
-    (training-pool and cell-pool workers, parallel CLI invocations) sharing
-    the cache directory make each artifact exactly once: whoever takes the
-    lock first makes it and publishes it atomically, everyone else blocks and
-    then reads the published file.  A file ``read`` rejects is untrusted
-    input: it is unlinked and made again.
-    """
-    found = _read_or_drop(path, read)
-    if found is not None:
-        return found
-    with FileLock(path.with_name(path.name + ".lock")):
-        found = _read_or_drop(path, read)  # made elsewhere while we waited
-        if found is not None:
-            return found
-        made = make()
-        with atomic_path(path, suffix=".npz") as tmp:
-            write(made, tmp)
-    return made
-
-
 #: per-process memo of the dataset splits, keyed ``(dataset, test_fraction,
 #: fast)``; the arrays are read-only, since every caller shares them
 _SPLITS: Dict[Tuple[str, float, bool], DataSplit] = {}
@@ -334,7 +287,7 @@ def _load_split(
 
     # loaded outside the memo's lock, which a fork must never inherit held;
     # two threads racing here get equal splits and keep the first published
-    split = _load_or_make(path, read, make, _write_split)
+    split = load_or_make(path, read, make, _write_split)
     for part in (split.train, split.test):
         part.images.flags.writeable = False
         part.labels.flags.writeable = False
@@ -362,7 +315,7 @@ def load_objects_split(test_fraction: float = 0.2, fast: bool = False) -> DataSp
 
 @dataclass(frozen=True)
 class TrainingUnit:
-    """One cached ``.npz`` of the zoo: the piece of work a training pool schedules.
+    """One cached ``.npz`` of the zoo: the piece of training the engine schedules.
 
     ``resolve()`` returns the unit's model, training and publishing its
     parameters first (through :func:`_cached_model`) when ``path`` is
@@ -408,9 +361,9 @@ def _cached_model(
 ) -> Sequential:
     """A unit's model with its cached parameters, trained and published first if missing.
 
-    :func:`_load_or_make` trains each unit once per cache directory, however
-    many processes want it; a file whose arrays no longer fit the
-    architecture is retrained.
+    :func:`~repro.parallel.locks.load_or_make` trains each unit once per
+    cache directory, however many processes want it; a file whose arrays no
+    longer fit the architecture is retrained.
     """
     model = builder()
 
@@ -428,7 +381,7 @@ def _cached_model(
         release_freed_memory()  # the next unit starts from what it needs
         return trained
 
-    return _load_or_make(unit.path, load, train, lambda model, tmp: model.save(str(tmp)))
+    return load_or_make(unit.path, load, train, lambda model, tmp: model.save(str(tmp)))
 
 
 #: the optimizers a recipe's ``optimizer.kind`` names

@@ -42,7 +42,7 @@ after it sum in memory order, so the layout is part of the training numerics.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -295,14 +295,17 @@ def conv2d_backward(
     padding: int = 0,
     with_param_grads: bool = True,
     batch_invariant: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    with_input_grad: bool = True,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
     """Backward pass of :func:`conv2d_forward`.
 
     ``saved`` is the forward pass's second result (the columns, or the input
     for ``batch_invariant=False``).  Returns ``(grad_input, grad_weight,
     grad_bias)``; with ``with_param_grads=False`` the parameter gradients are
     skipped (returned as ``None``) -- the attack-facing input-gradient path
-    never reads them.  Training passes issue the whole-batch GEMMs
+    never reads them -- and with ``with_input_grad=False`` the input gradient
+    is (a network's first layer in training: nothing reads the gradient of
+    the batch).  Training passes issue the whole-batch GEMMs
     ``(cols(K, N*L) @ g(N*L, F)).T`` and ``g(N*L, F) @ W``, whose
     ``(N, K, L)``-viewed result :func:`col2im` reads in place.
     """
@@ -312,39 +315,45 @@ def conv2d_backward(
     w_mat = weight.reshape(f, -1)  # (F, K)
     k, l = w_mat.shape[1], out_h * out_w
 
-    grad_weight = grad_bias = None
+    grad_weight = grad_bias = grad_cols = None
     if batch_invariant:
         cols = saved
         if with_param_grads:
             # parameter gradients reduce over the batch (training-only; no
             # batch invariance required) and keep the fused einsum path
             grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
-        # the input gradient feeds the attacks' BPDA path: per-example GEMMs
-        # of constant shape (K, F) x (F, L), batch-invariant like the forward
-        grad_cols = np.empty_like(cols)
-        w_t = np.ascontiguousarray(w_mat.T)
-        for i in range(len(grad_mat)):
-            grad_cols[i] = w_t @ grad_mat[i]
+        if with_input_grad:
+            # the input gradient feeds the attacks' BPDA path: per-example
+            # GEMMs of constant shape (K, F) x (F, L), batch-invariant like
+            # the forward
+            grad_cols = np.empty_like(cols)
+            w_t = np.ascontiguousarray(w_mat.T)
+            for i in range(len(grad_mat)):
+                grad_cols[i] = w_t @ grad_mat[i]
     elif _whole_batch_gemms(n, f, k, l):
         g_rows = grad_mat.transpose(0, 2, 1).reshape(n * l, f)
         if with_param_grads:
             cols = im2col(saved, (kh, kw), stride, padding, layout="knl").reshape(k, n * l)
             grad_weight = np.matmul(cols, g_rows).T
-        grad_cols = np.matmul(g_rows, w_mat).reshape(n, l, k).transpose(0, 2, 1)
+        if with_input_grad:
+            grad_cols = np.matmul(g_rows, w_mat).reshape(n, l, k).transpose(0, 2, 1)
     else:
         cols = im2col(saved, (kh, kw), stride, padding)
         if with_param_grads:
             grad_weight = np.einsum("nfl,nkl->fk", grad_mat, cols, optimize=True)
-        grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
+        if with_input_grad:
+            grad_cols = np.einsum("fk,nfl->nkl", w_mat, grad_mat, optimize=True)
     if with_param_grads:
         grad_weight = grad_weight.reshape(weight.shape)
         grad_bias = grad_out.sum(axis=(0, 2, 3))
-    grad_input = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
+    # copies: the cropped col2im view becomes C-contiguous (the reductions
+    # downstream sum in memory order), and the small weight gradient's
+    # length-1 axes get the strides a copy gives them
+    grad_input = None
+    if grad_cols is not None:
+        grad_input = col2im(grad_cols, x_shape, (kh, kw), stride, padding).astype(np.float32)
     return (
-        # copies: the cropped col2im view becomes C-contiguous (the
-        # reductions downstream sum in memory order), and the small weight
-        # gradient's length-1 axes get the strides a copy gives them
-        grad_input.astype(np.float32),
+        grad_input,
         grad_weight.astype(np.float32) if grad_weight is not None else None,
         grad_bias.astype(np.float32, copy=False) if grad_bias is not None else None,
     )

@@ -110,6 +110,15 @@ class Module:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def param_backward(self, grad_out: np.ndarray) -> None:
+        """The backward pass of a caller that discards the input gradient.
+
+        Accumulates the parameter gradients exactly as :meth:`backward`
+        does.  A convolution skips computing its input gradient; the other
+        layers run :meth:`backward`.
+        """
+        self.backward(grad_out)
+
     def parameters(self) -> List[Parameter]:
         """Trainable parameters of this layer (empty by default)."""
         return []
@@ -168,7 +177,7 @@ class Conv2d(Module):
         self._cache = (saved, x.shape)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         saved, x_shape = self._cache
@@ -181,11 +190,15 @@ class Conv2d(Module):
             self.padding,
             with_param_grads=_ACCUMULATE_PARAM_GRADS,
             batch_invariant=not self.training,
+            with_input_grad=input_grad,
         )
         if _ACCUMULATE_PARAM_GRADS:
             self.weight.grad += grad_w
             self.bias.grad += grad_b
         return grad_in
+
+    def param_backward(self, grad_out: np.ndarray) -> None:
+        self.backward(grad_out, input_grad=False)
 
     def parameters(self) -> List[Parameter]:
         return [self.weight, self.bias]

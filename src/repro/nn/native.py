@@ -48,8 +48,9 @@ racing for a cold cache compile once and all load the same file.  A
 published library that fails to load is deleted and rebuilt once.
 
 Fallback: with no ``cc`` on ``PATH``, a failed build or load, or the
-``kernel.build_fail`` fault point firing at key ``native:<DIGEST>``, the
-process warns once, counts ``NATIVE_STATS.fallbacks``, keeps the numpy
+``kernel.build_fail`` fault point firing at key ``native``
+(:data:`FAULT_KEY`), the process warns once, counts
+``NATIVE_STATS.fallbacks``, keeps the numpy
 conv/pool/BatchNorm/activation functions and gives approximate layers the
 reference GEMM kernel -- the same bytes, only slower.  The process resolves
 the backend once (:data:`BACKEND`); the parallel engine resolves it before
@@ -621,10 +622,13 @@ done:
 #: contraction, no fast-math, no host-specific ISA
 CFLAGS = ("-O3", "-fPIC", "-ffp-contract=off")
 
-#: digest of the kernels' source and flags; the ``kernel.build_fail`` fault
-#: key is ``native:<DIGEST>`` (compiler-independent, so a chaos run's seeded
-#: schedule fires on every platform alike)
+#: digest of the kernels' source and flags
 DIGEST = hashlib.sha256("\0".join((*UNITS, *CFLAGS)).encode()).hexdigest()[:16]
+
+#: the ``kernel.build_fail`` fault key of the native build: a stable name, so
+#: a chaos run's seeded schedule fires alike on every platform and for every
+#: revision of the C source
+FAULT_KEY = "native"
 
 
 #: elementwise passes (the BatchNorm and activation kernels) serve arrays of
@@ -1100,7 +1104,7 @@ class NativeBackend:
 
         directory = Path(self.directory) if self.directory is not None else default_directory()
         try:
-            FAULTS.maybe_raise("kernel.build_fail", f"native:{DIGEST}")
+            FAULTS.maybe_raise("kernel.build_fail", FAULT_KEY)
             if np.dtype(np.intp) != np.dtype(np.int64):
                 raise NativeUnavailable("argmax indices are not 64-bit on this platform")
             cc, version = _compiler()

@@ -38,6 +38,14 @@ class Sequential(Module):
             grad = layer.backward(grad)
         return grad
 
+    def param_backward(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` for training: the first layer skips the input gradient."""
+        grad = grad_out
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        if self.layers:
+            self.layers[0].param_backward(grad)
+
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []
         for layer in self.layers:

@@ -76,7 +76,7 @@ def train_classifier(
             logits = model.forward(xb)
             loss = criterion.forward(logits, yb)
             grad = criterion.backward()
-            model.backward(grad)
+            model.param_backward(grad)  # nothing reads the batch's own gradient
             optimizer.step()
             epoch_losses.append(loss)
         model.set_training(False)

@@ -1,68 +1,78 @@
-"""The one cell executor behind every :class:`Runner`, whatever its ``jobs``.
+"""The one executor behind every :class:`Runner`, whatever its ``jobs``.
 
-Planned cell tasks (see :mod:`repro.parallel.plan`) are expanded into their
-shard subtasks.  With ``jobs > 1`` the shards are scheduled onto a
-``ProcessPoolExecutor``; with ``jobs == 1`` nothing forks and the parent
-computes every shard in-process, in task order.  Either way the parent
-merges each cell's ordered shard results, writes the artifact atomically and
+A run's work is two kinds of task on one schedule: the zoo *training units*
+its cells need that are not published yet
+(:func:`repro.experiments.zoo.zoo_units`, one cached ``.npz`` each), and the
+shard subtasks of every planned cell task that missed the cache (see
+:mod:`repro.parallel.plan`).  With ``jobs > 1`` they run on one
+``ProcessPoolExecutor`` of ``jobs`` workers; with ``jobs == 1`` nothing
+forks and the parent runs the same schedule in-process.  The parent keeps
+at most ``jobs`` tasks in flight, so it always chooses what a free worker
+takes next (:class:`_ReadyQueue`):
+
+1. a unit another unit waits for (a LeNet before its substitutes);
+2. a shard of a cell whose experiment can now complete: every unit the
+   experiment's cells need has published;
+3. the next unit, in the order the cells request them;
+4. any other shard whose cell is ready (every unit it needs published).
+
+So a cold run computes, and the runner writes, the results that need no
+model or only a small one while the long units train.  The parent merges
+each cell's ordered shard results, writes the artifact atomically and
 streams a progress event.  Because shard decomposition and per-shard RNG
 seeding are pure functions of cell content (:mod:`repro.parallel.sharding`),
-every ``jobs`` value produces bit-for-bit the same values.
+every ``jobs`` value produces bit-for-bit the same values, and a unit trained
+on the pool is byte-identical to one trained in-process.
 
-Coordination with *other* processes -- pool workers of a second CLI
-invocation or service job sharing the cache directory -- uses the writer
-leases of :mod:`repro.store`: each cell is computed under its digest lease
-(refreshed as shards complete, so long cells never look abandoned), and a
-cell being computed elsewhere is *deferred* here and collected from the
-cache once the foreign writer publishes it, instead of being recomputed.  A
-foreign writer that crashes mid-cell loses its lease and the cell is
-computed here -- a wedged cache cannot outlive its writer.  Leases are
-claimed only after the native build, the zoo training and the warm-up of
-every cell that missed the cache, so a lease's TTL bounds shard compute,
-never a cold zoo's training.
-
-Fault tolerance (see ``docs/faults.md``): every in-process step -- the
-warm-up, each shard at ``jobs == 1``, the shards of a degraded pool and of a
-taken-over cell -- runs under one bounded retry (``REPRO_SHARD_RETRIES``
-attempts after the first, with exponential backoff).  Pool shards run under
-the same budget plus an optional wall-clock deadline
-(``REPRO_SHARD_TIMEOUT``).  A worker that dies (segfault, OOM kill,
-injected ``worker.crash``) breaks the pool -- the engine respawns it and
-resubmits the lost shards with exponential backoff; a worker that wedges
-(injected ``shard.hang``, a stuck syscall) blows its shard's deadline, and
-since a running future cannot be cancelled the pool is killed outright and
-rebuilt.  After :data:`~repro.faults.policy.POOL_RESPAWN_LIMIT` rebuilds
-the engine stops trusting process isolation and computes the remaining
-shards in-process -- slower, but the run completes with identical bits.
-Every recovery action lands in the run telemetry's ``faults`` counters, so
-a chaos run can *prove* what it survived.
-
-Worker processes are started with an initialiser that imports the pipeline
-registries and builds a per-process :class:`Runner`; zoo models and
-multiplier LUTs are resolved once per process (and, under the default
-``fork`` start method, models the parent warmed up before the pool was
-created are inherited copy-on-write and never rebuilt at all).
-
-Zoo training phase (``jobs > 1`` only): before that warm-up, the zoo
-*training units* the cells that missed the cache need
-(:func:`repro.experiments.zoo.zoo_units`, one per cached ``.npz``) are
-checked on disk.  When two or more are missing they are trained on a
-separate fork pool of ``runner.jobs`` workers -- units start as soon as the
-units they wait for have published (a substitute waits for its LeNet) -- so
-the phase costs about its longest chain instead of the sum, and the warm-up
-then only loads.  A unit the pool fails to publish (a crashed worker --
-``worker.crash`` at key ``zoo:<unit>`` -- or an error) is counted in
-``faults["zoo_fallbacks"]`` and trained by the warm-up in the parent
-exactly as at ``jobs == 1``, with the same bits.  Before either pool forks,
-the parent builds or loads the native conv/pool kernels
+A worker warms what a shard needs on first use (:meth:`CellKind.warm`,
+memoised per process): it loads the zoo models, resolves the hardware
+variants and primes their GEMM kernels, whose multiplier tables it reads
+from the zoo cache (:func:`repro.arith.fpm.lut_cache_path`).  Before the
+pool forks, the parent builds or loads the native kernels
 (:mod:`repro.nn.native`), so every worker inherits the loaded library, or
 the numpy fallback decision, instead of resolving its own.
 
+Coordination with *other* processes -- pool workers of a second CLI
+invocation or service job sharing the cache directory -- uses the writer
+leases of :mod:`repro.store`: a cell's lease is claimed when its first shard
+is dispatched (refreshed as shards complete, so long cells never look
+abandoned), and a cell being computed elsewhere is *deferred* here and
+collected from the cache once the foreign writer publishes it, instead of
+being recomputed.  A cell is dispatched only once every unit it needs has
+published, so no lease is ever held while a unit the cell needs trains: a
+lease's TTL bounds shard compute, never a cold zoo's training.  A foreign
+writer that crashes mid-cell loses its lease and the cell is computed here
+-- a wedged cache cannot outlive its writer.
+
+Fault tolerance (see ``docs/faults.md``): every in-process step -- each
+shard at ``jobs == 1``, the shards of a degraded pool and of a taken-over
+cell, a unit trained in the parent -- runs under one bounded retry
+(``REPRO_SHARD_RETRIES`` attempts after the first, with exponential
+backoff).  Pool shards run under the same budget plus an optional
+wall-clock deadline (``REPRO_SHARD_TIMEOUT``); units carry no deadline.  A
+worker that dies (segfault, OOM kill, injected ``worker.crash``) breaks the
+pool -- the engine respawns it and resubmits the lost shards with
+exponential backoff; a worker that wedges (injected ``shard.hang``, a stuck
+syscall) blows its shard's deadline, and since a running future cannot be
+cancelled the pool is killed outright and rebuilt.  A unit still in flight
+on a pool killed or rebuilt that way is resubmitted.  A unit the pool fails
+to publish -- its training raised, or its worker died (``worker.crash`` at
+key ``zoo:<unit>``; a death fails every task in flight, so the engine
+cannot tell the guilty unit from a bystander) -- is trained by the parent
+instead, with the same bits, and so is every unit that waits for it; each
+counts in ``faults["zoo_fallbacks"]``.  After
+:data:`~repro.faults.policy.POOL_RESPAWN_LIMIT` rebuilds the engine stops
+trusting process isolation and runs the remaining units and shards
+in-process -- slower, but the run completes with identical bits.  Every
+recovery action lands in the run telemetry's ``faults`` counters, so a
+chaos run can *prove* what it survived.
+
 Start-method caveat: ``fork`` also carries *runtime* registry registrations
-(custom zoo entries, specs registered from a script) into the workers.  On
-platforms without ``fork`` the ``spawn`` fallback re-imports the package
-fresh, so only registrations performed at import time (the catalog, or
-modules imported by your entry point) are visible to workers -- register
+(custom zoo entries, specs registered from a script) and the run's training
+units into the workers.  On platforms without ``fork`` the ``spawn``
+fallback re-imports the package fresh, so only registrations performed at
+import time (the catalog, or modules imported by your entry point) are
+visible to workers, and the parent trains the units itself -- register
 custom components in an importable module, or run with ``jobs=1``.
 """
 
@@ -77,7 +87,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
@@ -104,7 +114,8 @@ class CellExecutionError(RuntimeError):
 
     Carries the failing cell's identity -- kind, digest, shard index and
     owning experiment -- so the CLI and the service can report *which* cell
-    of *which* experiment died without parsing the message.
+    of *which* experiment died without parsing the message.  A zoo unit that
+    fails for good is reported through the first cell that needs it.
     """
 
     def __init__(
@@ -123,10 +134,14 @@ class CellExecutionError(RuntimeError):
 
 
 def _exhausted(
-    task: CellTask, shard: Optional[int], cause: str, attempts: int, exc: Optional[BaseException]
+    task: CellTask,
+    step: str,
+    cause: str,
+    attempts: int,
+    exc: Optional[BaseException],
+    shard: Optional[int] = None,
 ) -> CellExecutionError:
-    """The error for a shard (or, with ``shard=None``, a warm-up) out of retries."""
-    step = "warm-up" if shard is None else f"shard {shard}"
+    """The error for a shard or zoo unit (``step``) of ``task`` out of retries."""
     return CellExecutionError(
         f"{task.kind} cell {task.digest[:10]} {step} (owner {task.owner}) {cause} "
         f"after {attempts} attempt(s)" + (f": {exc}" if exc is not None else ""),
@@ -139,6 +154,7 @@ def _exhausted(
 
 # ----------------------------------------------------------- worker side
 _WORKER_RUNNER = None
+_WORKER_UNITS: Dict[str, TrainingUnit] = {}
 
 
 def _worker_init(
@@ -147,14 +163,16 @@ def _worker_init(
     use_cache: bool,
     shard_size: int,
     trace_dir: Optional[str] = None,
+    units: Optional[Dict[str, TrainingUnit]] = None,
 ) -> None:
     """Build the per-process runner; resolves registries exactly once.
 
     ``trace_dir`` (set when the parent run is traced) points the worker's
     tracer at the run's spool directory, so worker spans land next to the
-    parent's and are merged at run end.
+    parent's and are merged at run end.  ``units`` are the run's training
+    units; they arrive by fork, never pickled.
     """
-    global _WORKER_RUNNER
+    global _WORKER_RUNNER, _WORKER_UNITS
     import repro.pipeline  # populates kind/cell/zoo/attack registries
 
     if trace_dir is not None:
@@ -162,6 +180,7 @@ def _worker_init(
     _WORKER_RUNNER = repro.pipeline.Runner(
         fast=fast, cache_dir=cache_dir, use_cache=use_cache, jobs=1, shard_size=shard_size
     )
+    _WORKER_UNITS = units or {}
 
 
 def _run_shard(
@@ -171,7 +190,7 @@ def _run_shard(
     digest: str = "",
     attempt: int = 0,
 ) -> Tuple[Any, float, Dict[str, Any]]:
-    """Compute one shard in a worker; returns ``(value, seconds, stats)``.
+    """Warm what the shard needs, then compute it; returns ``(value, seconds, stats)``.
 
     ``stats`` carries the worker's pid and the shard's kernel/query counter
     deltas -- the parent folds them into :class:`RunTelemetry`, closing the
@@ -187,6 +206,7 @@ def _run_shard(
     FAULTS.maybe_hang(fault_key)
     kernel_mark = KERNEL_STATS.snapshot()
     query_mark = QUERY_STATS.snapshot()
+    kind = get_cell_kind(kind_name)
     start = perf_counter()
     with TRACER.span(
         "shard",
@@ -195,7 +215,8 @@ def _run_shard(
         digest=digest[:DIGEST_WIDTH],
         shard=shard_index,
     ):
-        value = get_cell_kind(kind_name).compute_shard(_WORKER_RUNNER, payload, shard_index)
+        kind.warm(_WORKER_RUNNER, payload)
+        value = kind.compute_shard(_WORKER_RUNNER, payload, shard_index)
     stats = {
         "pid": os.getpid(),
         "kernels": KERNEL_STATS.delta(kernel_mark),
@@ -204,22 +225,13 @@ def _run_shard(
     return value, perf_counter() - start, stats
 
 
-_WORKER_UNITS: Dict[str, TrainingUnit] = {}
-
-
-def _units_worker_init(units: Dict[str, TrainingUnit]) -> None:
-    """Training-pool initialiser: the units arrive by fork, never pickled."""
-    global _WORKER_UNITS
-    _WORKER_UNITS = units
-
-
-def _train_unit(name: str) -> Tuple[Optional[float], Dict[str, int]]:
+def _train_unit(name: str) -> Tuple[Optional[float], Dict[str, Any]]:
     """Train (or, if published meanwhile, load) one zoo unit in a worker.
 
     Returns the seconds this worker spent training it (``None`` if it only
-    loaded it) and its kernel-counter delta, which the parent folds into the
-    run telemetry (a DA-victim substitute queries the approximate kernels
-    while it trains).
+    loaded it) and ``stats``: the worker's pid and its kernel-counter delta,
+    which the parent folds into the run telemetry (a DA-victim substitute
+    queries the approximate kernels while it trains).
     """
     FAULTS.maybe_crash(f"zoo:{name}")
     trained_mark = len(TRAINED_UNITS)
@@ -227,7 +239,7 @@ def _train_unit(name: str) -> Tuple[Optional[float], Dict[str, int]]:
     _WORKER_UNITS[name].resolve()
     trained = TRAINED_UNITS[trained_mark:]
     seconds = sum(s for _, s in trained) if trained else None
-    return seconds, KERNEL_STATS.delta(kernel_mark)
+    return seconds, {"pid": os.getpid(), "kernels": KERNEL_STATS.delta(kernel_mark)}
 
 
 @dataclass
@@ -238,6 +250,16 @@ class _ShardRun:
     index: int
     attempt: int = 0
     deadline: Optional[float] = None  # monotonic, None when untimed
+
+
+@dataclass
+class _UnitRun:
+    """One zoo unit in flight (units carry no deadline)."""
+
+    name: str
+
+
+_Run = Union[_ShardRun, _UnitRun]
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -259,14 +281,104 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 # ----------------------------------------------------------- parent side
+class _ReadyQueue:
+    """The run's undispatched units and shards, and which one goes next.
+
+    ``units`` are the unpublished training units the cells need, ``needs``
+    each cell's unpublished units and ``groups`` the cells of each
+    experiment.  :meth:`pop` applies the policy of the module docstring.
+    Units named in :attr:`parent` are trained by the parent process.
+    """
+
+    def __init__(
+        self,
+        tasks: List[CellTask],
+        units: Dict[str, TrainingUnit],
+        needs: Dict[str, Set[str]],
+        groups: Iterable[Iterable[str]],
+    ):
+        self.tasks = tasks
+        self.units = units
+        self.needs = needs
+        self.waits = {
+            name: {dep.name for dep in unit.after} & set(units) for name, unit in units.items()
+        }
+        # units others wait for go first; the rest keep their request order
+        waited = {dep for deps in self.waits.values() for dep in deps}
+        self.unit_order = sorted(units, key=lambda name: name not in waited)
+        self.shards = {task.digest: list(range(task.n_shards)) for task in tasks}
+        pending = [set(group) & set(needs) for group in groups]
+        self.groups = {d: [g for g in pending if d in g] or [{d}] for d in needs}
+        self.parent: Set[str] = set()
+
+    def pop(self) -> Union[str, Tuple[CellTask, int], None]:
+        """The next unit name or ``(task, shard index)`` to dispatch, if any is ready."""
+        ready = [name for name in self.unit_order if not self.waits[name]]
+        waited = {dep for deps in self.waits.values() for dep in deps}
+        cells = [t for t in self.tasks if self.shards[t.digest] and not self.needs[t.digest]]
+        for name in ready:
+            if name in waited:
+                return self._unit(name)
+        for task in cells:
+            if any(all(not self.needs[d] for d in g) for g in self.groups[task.digest]):
+                return task, self.shards[task.digest].pop(0)
+        if ready:
+            return self._unit(ready[0])
+        if cells:
+            return cells[0], self.shards[cells[0].digest].pop(0)
+        return None
+
+    def _unit(self, name: str) -> str:
+        self.unit_order.remove(name)
+        return name
+
+    def publish(self, name: str) -> None:
+        """Unit ``name`` has published: whatever waited for it may go."""
+        for deps in (*self.waits.values(), *self.needs.values()):
+            deps.discard(name)
+        self.waits.pop(name, None)
+
+    def to_parent(self, name: str) -> int:
+        """Leave ``name`` and every unit waiting for it to the parent; returns how many are new."""
+        moved = {name}
+        while True:
+            more = {n for n, deps in self.waits.items() if deps & moved} - moved
+            if not more:
+                break
+            moved |= more
+        fresh = moved - self.parent
+        self.parent |= moved
+        if name not in self.unit_order:  # dispatched: back in line, first
+            self.unit_order.insert(0, name)
+        return len(fresh)
+
+    def drop(self, digest: str) -> None:
+        """Dispatch no more shards of ``digest`` (read from the cache, or deferred)."""
+        self.shards[digest] = []
+
+    def needer(self, name: str) -> CellTask:
+        """The first cell task that needs unit ``name`` (it names a unit's failure)."""
+        return next((t for t in self.tasks if name in self.needs[t.digest]), self.tasks[0])
+
+
 class ParallelEngine:
-    """Executes a run's unique cell tasks on ``runner.jobs`` worker processes."""
+    """Executes a run's unique cell tasks and the zoo units they need on ``runner.jobs`` workers."""
 
     def __init__(self, runner):
         self.runner = runner
 
-    def execute(self, tasks: List[CellTask], on_cell: Optional[OnCell] = None) -> Dict[str, CellOutcome]:
-        """Materialise every task; returns ``digest -> CellOutcome``."""
+    def execute(
+        self,
+        tasks: List[CellTask],
+        on_cell: Optional[OnCell] = None,
+        groups: Optional[Iterable[Iterable[str]]] = None,
+    ) -> Dict[str, CellOutcome]:
+        """Materialise every task; returns ``digest -> CellOutcome``.
+
+        ``groups`` holds the digests of each experiment of the run: a cell
+        whose experiment can complete goes before the units nobody waits for
+        (see the module docstring).  ``None`` makes each cell its own group.
+        """
         on_cell = on_cell or (lambda task, outcome: None)
         outcomes: Dict[str, CellOutcome] = {}
 
@@ -285,37 +397,13 @@ class ParallelEngine:
             return outcomes
 
         if self.runner.jobs > 1:
-            native.BACKEND.kernels()  # build or load once here, before any pool forks
-            self._train_zoo(pending)
-        for task in pending:  # resolve shared models once, before any fork
-            kind = get_cell_kind(task.kind)
-            self._retrying(task, None, lambda: kind.warm(self.runner, task.payload))
-
-        # claim each missing cell's writer lease only now, so a lease's TTL
-        # covers shard compute, never the cold zoo training of the warm-up;
-        # cells already being computed by another process are deferred and
-        # harvested from its artifact
-        owned: List[CellTask] = []
-        deferred: List[CellTask] = []
+            native.BACKEND.kernels()  # build or load once here, before the pool forks
+        units, needs = self._missing_units(pending)
+        queue = _ReadyQueue(pending, units, needs, groups if groups is not None else ())
         leases: Dict[str, Lease] = {}
-        for task in pending:
-            if not self.runner.use_cache:
-                owned.append(task)
-                continue
-            lease = self.runner.store.try_lease(task.kind, task.digest)
-            if lease is None:
-                deferred.append(task)
-                continue
-            value = self.runner.read_cell(task.kind, task.payload, task.digest)
-            if value is not None:  # published meanwhile by another process
-                lease.release()
-                finish(task, CellOutcome(value, "hit", 0.0, task.n_shards))
-            else:
-                leases[task.digest] = lease
-                owned.append(task)
+        deferred: List[CellTask] = []
         try:
-            if owned:
-                self._compute_owned(owned, leases, finish)
+            self._run(queue, leases, deferred, finish)
         finally:
             for lease in leases.values():
                 lease.release()
@@ -324,120 +412,71 @@ class ParallelEngine:
         return outcomes
 
     # ------------------------------------------------------------ internals
-    def _missing_units(self, tasks: List[CellTask]) -> Dict[str, TrainingUnit]:
-        """The unpublished zoo units behind ``tasks``, plus those they wait for."""
+    def _missing_units(
+        self, tasks: List[CellTask]
+    ) -> Tuple[Dict[str, TrainingUnit], Dict[str, Set[str]]]:
+        """The unpublished zoo units behind ``tasks``, and each task's share of them.
+
+        A task needs the units of every zoo entry its payload resolves, and
+        the units those wait for.
+        """
+        found: Dict[Any, Dict[str, TrainingUnit]] = {}
+
+        def closure(request) -> Dict[str, TrainingUnit]:
+            if request not in found:
+                out: Dict[str, TrainingUnit] = {}
+                name, kwargs = request
+                stack = zoo_units(name, fast=self.runner.fast, **dict(kwargs))
+                while stack:
+                    unit = stack.pop(0)
+                    if unit.name not in out:
+                        out[unit.name] = unit
+                        stack.extend(unit.after)
+                found[request] = out
+            return found[request]
+
         units: Dict[str, TrainingUnit] = {}
+        needs: Dict[str, Set[str]] = {}
+        for task in tasks:
+            needs[task.digest] = set()
+            for request in zoo_requests(task.payload):
+                for name, unit in closure(request).items():
+                    units.setdefault(name, unit)
+                    needs[task.digest].add(name)
+        missing = {name: unit for name, unit in units.items() if not unit.path.exists()}
+        return missing, {digest: names & set(missing) for digest, names in needs.items()}
 
-        def add(unit: TrainingUnit) -> None:
-            if unit.name not in units:
-                units[unit.name] = unit
-                for dep in unit.after:
-                    add(dep)
-
-        requests = dict.fromkeys(r for task in tasks for r in zoo_requests(task.payload))
-        for name, kwargs in requests:
-            for unit in zoo_units(name, fast=self.runner.fast, **dict(kwargs)):
-                add(unit)
-        return {name: unit for name, unit in units.items() if not unit.path.exists()}
-
-    def _train_zoo(self, tasks: List[CellTask]) -> None:
-        """Train the cold zoo units ``tasks`` need on a fork pool (see module doc)."""
-        runner = self.runner
-        missing = self._missing_units(tasks)
-        if len(missing) < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return  # nothing to overlap: the warm-up trains as it does at jobs == 1
-        waits = {
-            name: {dep.name for dep in unit.after} & set(missing) for name, unit in missing.items()
-        }
-        # units others wait for go first; the rest keep their request order
-        pending = sorted(missing, key=lambda name: not any(name in deps for deps in waits.values()))
-        workers = min(runner.jobs, len(missing))
-        start = perf_counter()
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_units_worker_init,
-            initargs=(missing,),
-        )
-        inflight: Dict[Future, str] = {}
-        published: Set[str] = set()
-
-        def submit_ready() -> bool:
-            """Submit every pending unit whose dependencies published; False if the pool broke."""
-            for name in [name for name in pending if not waits[name]]:
-                try:
-                    inflight[pool.submit(_train_unit, name)] = name
-                except BrokenProcessPool:
-                    return False
-                pending.remove(name)
-            return True
-
-        broken = False
-        try:
-            with TRACER.span("zoo.pool", cat="zoo", units=len(missing), workers=workers) as span:
-                broken = not submit_ready()
-                while inflight and not broken:
-                    done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        name = inflight.pop(future)
-                        try:
-                            seconds, kernels = future.result()
-                        except BrokenProcessPool:
-                            broken = True  # a worker died and took the pool with it
-                            continue
-                        except Exception as exc:
-                            # left, with the units waiting for it, to the warm-up,
-                            # which raises again in-process if the failure is real
-                            warnings.warn(
-                                f"zoo unit {name} failed on the training pool ({exc!r}); "
-                                "training it in-process",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
-                            continue
-                        published.add(name)
-                        for deps in waits.values():
-                            deps.discard(name)
-                        if seconds is not None:
-                            runner.telemetry.zoo_pool.append((name, seconds))
-                        runner.telemetry.fold_worker({"kernels": kernels})
-                    broken = broken or not submit_ready()
-                span["published"] = len(published)
-        except BaseException:
-            _kill_pool(pool)  # interrupted: don't wait out the units in flight
-            raise
-        if broken:
-            _kill_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-        runner.telemetry.zoo_pool_s += perf_counter() - start
-        if broken:
-            runner.telemetry.count_fault("worker_crashes")
-        if len(published) < len(missing):
-            runner.telemetry.count_fault("zoo_fallbacks", len(missing) - len(published))
-
-    def _compute_owned(
-        self, tasks: List[CellTask], leases: Dict[str, Lease], finish: OnCell
+    def _run(
+        self,
+        queue: _ReadyQueue,
+        leases: Dict[str, Lease],
+        deferred: List[CellTask],
+        finish: OnCell,
     ) -> None:
+        """Run every unit and shard of ``queue``, on the pool or in this process."""
         runner = self.runner
-        pooled = runner.jobs > 1
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        telemetry = runner.telemetry
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else "spawn")
+        tasks = queue.tasks
         shard_values: Dict[str, List[Any]] = {t.digest: [None] * t.n_shards for t in tasks}
         shard_left: Dict[str, int] = {t.digest: t.n_shards for t in tasks}
         shard_seconds: Dict[str, float] = {t.digest: 0.0 for t in tasks}
         done_shards: Set[Tuple[str, int]] = set()
-        total_shards = sum(t.n_shards for t in tasks)
+        claimed: Set[str] = set()
         retries = shard_retries()
         timeout = shard_timeout()
-        workers = min(runner.jobs, total_shards)
+        workers = min(runner.jobs, sum(t.n_shards for t in tasks) + len(queue.units))
         initargs = (
             runner.fast,
             str(runner.cache_dir),
             runner.use_cache,
             runner.shard_size,
             TRACER.worker_spool_dir(),
+            queue.units if fork else None,
         )
+        if not fork:  # the units cannot travel to spawned workers
+            queue.parent.update(queue.units)
 
         def spawn_pool() -> ProcessPoolExecutor:
             return ProcessPoolExecutor(
@@ -446,6 +485,27 @@ class ParallelEngine:
                 initializer=_worker_init,
                 initargs=initargs,
             )
+
+        def claim(task: CellTask) -> bool:
+            """Claim ``task``'s lease before its first shard; False if it needs no compute here."""
+            if task.digest in claimed:
+                return True
+            claimed.add(task.digest)
+            if not runner.use_cache:
+                return True
+            lease = runner.store.try_lease(task.kind, task.digest)
+            if lease is None:  # computed by another process: harvested at the end
+                queue.drop(task.digest)
+                deferred.append(task)
+                return False
+            value = runner.read_cell(task.kind, task.payload, task.digest)
+            if value is not None:  # published meanwhile by another process
+                lease.release()
+                queue.drop(task.digest)
+                finish(task, CellOutcome(value, "hit", 0.0, task.n_shards))
+                return False
+            leases[task.digest] = lease
+            return True
 
         def complete_shard(
             task: CellTask,
@@ -458,7 +518,7 @@ class ParallelEngine:
             if key in done_shards:  # resubmission raced its original
                 return
             done_shards.add(key)
-            runner.telemetry.fold_worker(stats)
+            telemetry.fold_worker(stats)
             digest = task.digest
             shard_values[digest][index] = value
             shard_seconds[digest] += seconds
@@ -490,37 +550,129 @@ class ParallelEngine:
                     fresh = runner.store.try_lease(task.kind, digest)
                     if fresh is not None:
                         leases[digest] = fresh
-                        runner.telemetry.count_fault("lease_reacquired")
+                        telemetry.count_fault("lease_reacquired")
 
-        pool: Optional[ProcessPoolExecutor] = spawn_pool() if pooled else None
-        inflight: Dict[Future, _ShardRun] = {}
+        def publish(
+            name: str, seconds: Optional[float] = None, stats: Optional[Dict[str, Any]] = None
+        ) -> None:
+            """Unit ``name`` has published; ``seconds`` and ``stats`` come from a pool worker."""
+            if seconds is not None and stats is not None:
+                telemetry.zoo_pool.append((name, seconds, stats["pid"]))
+            telemetry.fold_worker(stats)
+            telemetry.zoo_published()
+            queue.publish(name)
+
+        def to_parent(name: str) -> None:
+            telemetry.count_fault("zoo_fallbacks", queue.to_parent(name))
+
+        pool: Optional[ProcessPoolExecutor] = spawn_pool() if runner.jobs > 1 else None
+        inflight: Dict[Future, _Run] = {}
+        requeued: List[_Run] = []  # lost to a dead pool: dispatched again first
         respawns = 0
 
-        def submit(run: _ShardRun) -> None:
-            future = pool.submit(
-                _run_shard, run.task.kind, run.task.payload, run.index, run.task.digest, run.attempt
-            )
-            run.deadline = monotonic() + timeout if timeout is not None else None
-            inflight[future] = run
+        def next_run() -> Optional[_Run]:
+            if requeued:
+                return requeued.pop(0)
+            item = queue.pop()
+            if item is None:
+                return None
+            return _UnitRun(item) if isinstance(item, str) else _ShardRun(*item)
+
+        def start(run: _Run) -> bool:
+            """Dispatch ``run`` to the pool, or run it here and now; False if the pool is broken."""
+            if isinstance(run, _UnitRun):
+                telemetry.zoo_started()
+                if pool is None or run.name in queue.parent:
+                    self._train_in_process(queue, run.name)
+                    publish(run.name)
+                    return True
+                call: Tuple[Any, ...] = (_train_unit, run.name)
+            else:
+                if not claim(run.task):
+                    return True
+                if pool is None:
+                    value, seconds = self._shard_in_process(run.task, run.index)
+                    complete_shard(run.task, run.index, value, seconds, None)
+                    return True
+                task = run.task
+                call = (_run_shard, task.kind, task.payload, run.index, task.digest, run.attempt)
+                run.deadline = monotonic() + timeout if timeout is not None else None
+            try:
+                inflight[pool.submit(*call)] = run
+            except BrokenProcessPool:  # a worker died since the last wait
+                requeued.insert(0, run)
+                return False
+            return True
 
         def retry(run: _ShardRun, cause: str, exc: Optional[BaseException]) -> None:
             if run.attempt >= retries:
-                raise _exhausted(run.task, run.index, cause, run.attempt + 1, exc) from exc
+                raise _exhausted(
+                    run.task, f"shard {run.index}", cause, run.attempt + 1, exc, run.index
+                ) from exc
             run.attempt += 1
-            runner.telemetry.count_fault("shard_retries")
-            submit(run)
+            telemetry.count_fault("shard_retries")
+            requeued.append(run)
+
+        def pool_died(crashed: List[_ShardRun], expired: List[_ShardRun]) -> None:
+            """Kill the pool, then rebuild it -- or, past the limit, go on in-process.
+
+            A broken pool is unusable; a blown deadline means a wedged
+            worker, and running futures can't be cancelled: either way the
+            pool dies.  Innocent inflight tasks lose their partial work and
+            rerun at the same attempt.
+            """
+            nonlocal pool, respawns
+            survivors = list(inflight.values())
+            inflight.clear()
+            _kill_pool(pool)
+            pool = None
+            respawns += 1
+            if respawns > POOL_RESPAWN_LIMIT:
+                telemetry.count_fault("degraded_serial")
+                warnings.warn(
+                    f"worker pool died {respawns} times; running the rest of the run "
+                    "serially in-process",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+                # units never expire, and crashed ones went to the parent
+                lost_units = [r.name for r in survivors if isinstance(r, _UnitRun)]
+                for name in queue.unit_order + lost_units:
+                    to_parent(name)
+                requeued.extend(
+                    r for r in [*expired, *crashed, *survivors] if isinstance(r, _ShardRun)
+                )
+                return
+            telemetry.count_fault("pool_respawns")
+            time.sleep(backoff_seconds(respawns))
+            pool = spawn_pool()
+            for run in expired:
+                retry(run, "timed out", None)
+            for run in crashed:
+                retry(run, "crashed", None)
+            requeued.extend(survivors)
 
         try:
-            if pool is not None:
-                for task in tasks:  # already cost-ordered by ExecutionPlan.scheduled
-                    for index in range(task.n_shards):
-                        submit(_ShardRun(task, index))
-            while len(done_shards) < total_shards and pool is not None:
-                if not inflight:  # defensive: nothing running, nothing queued
+            while True:
+                broken = False
+                while len(inflight) < workers and not broken:
+                    run = next_run()
+                    if run is None:
+                        break
+                    broken = not start(run)
+                if broken and not inflight:  # an idle worker died: no future tells
+                    telemetry.count_fault("worker_crashes")
+                    pool_died([], [])
+                    continue
+                if not inflight:
                     break
                 poll: Optional[float] = None
                 if timeout is not None:
-                    deadlines = [r.deadline for r in inflight.values() if r.deadline is not None]
+                    deadlines = [
+                        r.deadline
+                        for r in inflight.values()
+                        if isinstance(r, _ShardRun) and r.deadline is not None
+                    ]
                     if deadlines:
                         poll = max(0.01, min(deadlines) - monotonic())
                 done, _ = wait(set(inflight), timeout=poll, return_when=FIRST_COMPLETED)
@@ -529,117 +681,106 @@ class ParallelEngine:
                 pool_broken = False
                 for future in done:
                     run = inflight.pop(future)
-                    if (run.task.digest, run.index) in done_shards:
+                    if isinstance(run, _ShardRun) and (run.task.digest, run.index) in done_shards:
                         continue
                     try:
-                        value, seconds, stats = future.result()
+                        result = future.result()
                     except BrokenProcessPool:
                         # a worker died abruptly; every pending future in the
-                        # pool fails with this, guilty shard and bystanders
-                        # alike -- all are retried on the rebuilt pool
+                        # pool fails with this, guilty task and bystanders
+                        # alike -- shards are retried on the rebuilt pool,
+                        # units are left to the parent
                         pool_broken = True
-                        crashed.append(run)
+                        if isinstance(run, _UnitRun):
+                            to_parent(run.name)
+                        else:
+                            crashed.append(run)
                         continue
                     except Exception as exc:
-                        failed.append((run, exc))
+                        if isinstance(run, _UnitRun):
+                            # the parent trains it, and raises again in-process
+                            # if the failure is real
+                            warnings.warn(
+                                f"zoo unit {run.name} failed on the pool ({exc!r}); "
+                                "training it in-process",
+                                RuntimeWarning,
+                                stacklevel=2,
+                            )
+                            to_parent(run.name)
+                        else:
+                            failed.append((run, exc))
                         continue
-                    complete_shard(run.task, run.index, value, seconds, stats)
+                    if isinstance(run, _UnitRun):
+                        publish(run.name, *result)
+                    else:
+                        complete_shard(run.task, run.index, *result)
                 expired: List[_ShardRun] = []
                 if timeout is not None:
                     now = monotonic()
                     for future, run in list(inflight.items()):
-                        if run.deadline is not None and now >= run.deadline and not future.done():
+                        deadline = run.deadline if isinstance(run, _ShardRun) else None
+                        if deadline is not None and now >= deadline and not future.done():
                             expired.append(run)
                             del inflight[future]
                     if expired:
-                        runner.telemetry.count_fault("shard_timeouts", len(expired))
+                        telemetry.count_fault("shard_timeouts", len(expired))
                 if pool_broken or expired:
                     if pool_broken:
-                        runner.telemetry.count_fault("worker_crashes")
-                    # a broken pool is unusable; a blown deadline means a
-                    # wedged worker, and running futures can't be cancelled:
-                    # either way the pool dies.  Innocent inflight shards
-                    # lose their partial work and rerun at the same attempt.
-                    survivors = list(inflight.values())
-                    inflight.clear()
-                    _kill_pool(pool)
-                    pool = None
-                    respawns += 1
-                    if respawns > POOL_RESPAWN_LIMIT:
-                        runner.telemetry.count_fault("degraded_serial")
-                        warnings.warn(
-                            f"worker pool died {respawns} times; computing the remaining "
-                            f"{total_shards - len(done_shards)} shard(s) serially in-process",
-                            RuntimeWarning,
-                            stacklevel=2,
-                        )
-                        break
-                    runner.telemetry.count_fault("pool_respawns")
-                    time.sleep(backoff_seconds(respawns))
-                    pool = spawn_pool()
-                    for run in expired:
-                        retry(run, "timed out", None)
-                    for run in crashed:
-                        retry(run, "crashed", None)
-                    for run in survivors:
-                        submit(run)
+                        telemetry.count_fault("worker_crashes")
+                    pool_died(crashed, expired)
                 elif failed:
                     for run, exc in failed:
                         time.sleep(backoff_seconds(run.attempt + 1))
                         retry(run, "failed", exc)
         except BaseException:
             if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                _kill_pool(pool)  # interrupted: don't wait out the units in flight
             raise
-        else:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        if pool is not None:
+            pool.shutdown(wait=True)
 
-        # in-process: every shard at jobs == 1, or whatever a pool that kept
-        # dying left over.  compute_shard here has no crash/hang injection
-        # sites (those live in the worker-side _run_shard), so a chaos
-        # schedule cannot take the parent down with the workers.
-        for task in tasks:
-            for index in range(task.n_shards):
-                if (task.digest, index) not in done_shards:
-                    value, seconds = self._shard_in_process(task, index)
-                    complete_shard(task, index, value, seconds, None)
-
-    def _retrying(self, task: CellTask, shard: Optional[int], step: Callable[[], Any]) -> Any:
+    def _retrying(
+        self, task: CellTask, step: str, run: Callable[[], Any], shard: Optional[int] = None
+    ) -> Any:
         """Run one in-process ``step`` of ``task`` under the bounded shard retry.
 
-        Serves the warm-up (``shard=None``), every shard at ``jobs == 1``,
-        the shards a dying pool left over and a taken-over cell's shards.  A
+        Serves every shard at ``jobs == 1``, the shards a dying pool left
+        over, a taken-over cell's shards and the units the parent trains.  A
         transient failure (an injected ``kernel.build_fail``, a flaky IO
         error) gets ``REPRO_SHARD_RETRIES`` fresh attempts with backoff; a
         deterministic bug exhausts them and raises
-        :class:`CellExecutionError` naming the cell, shard and owner.
+        :class:`CellExecutionError` naming the cell, the step and the owner.
         """
         retries = shard_retries()
         attempt = 0
         while True:
             try:
-                return step()
+                return run()
             except Exception as exc:
                 if attempt >= retries:
-                    raise _exhausted(task, shard, "failed", attempt + 1, exc) from exc
+                    raise _exhausted(task, step, "failed", attempt + 1, exc, shard) from exc
                 attempt += 1
                 self.runner.telemetry.count_fault("shard_retries")
                 time.sleep(backoff_seconds(attempt))
 
+    def _train_in_process(self, queue: _ReadyQueue, name: str) -> None:
+        """Train (or load) unit ``name`` in this process."""
+        self._retrying(queue.needer(name), f"zoo unit {name}", queue.units[name].resolve)
+
     def _shard_in_process(self, task: CellTask, index: int) -> Tuple[Any, float]:
-        """Compute one shard in this process; returns ``(value, seconds)``."""
+        """Warm what a shard needs and compute it in this process; returns ``(value, seconds)``."""
         kind = get_cell_kind(task.kind)
 
         def compute() -> Any:
             with _SHARD_LOCK:
+                kind.warm(self.runner, task.payload)
                 return kind.compute_shard(self.runner, task.payload, index)
 
         start = perf_counter()
         with TRACER.span(
             "shard", cat="engine", kind=task.kind, digest=task.digest[:DIGEST_WIDTH], shard=index
         ):
-            value = self._retrying(task, index, compute)
+            value = self._retrying(task, f"shard {index}", compute, index)
         return value, perf_counter() - start
 
     def _collect_foreign(self, task: CellTask) -> CellOutcome:

@@ -1,9 +1,11 @@
 """Advisory file locks and atomic file writes.
 
 Every artifact the pipeline persists -- grid-cell JSON, zoo ``.npz``
-parameter files, ``results/<name>.{txt,json}`` -- can be written concurrently
-by pool workers of one run *and* by independent CLI invocations sharing the
-same cache directory.  Two primitives keep that safe:
+parameter files, dataset splits, multiplier tables, ``results/<name>.{txt,json}``
+-- can be written concurrently by pool workers of one run *and* by independent
+CLI invocations sharing the same cache directory.  Two primitives keep that
+safe, and :func:`load_or_make` combines them for the artifacts a process
+makes once per cache directory:
 
 * :func:`atomic_path` / :func:`atomic_write_text`: write to a same-directory
   ``*.tmp`` file and ``os.replace`` it into place, so readers only ever see
@@ -23,9 +25,10 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, TypeVar, Union
 
 try:  # POSIX advisory locks
     import fcntl
@@ -127,3 +130,51 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 def atomic_write_json(path: Union[str, Path], payload: Any, **dump_kwargs) -> None:
     """Atomically replace ``path`` with the JSON encoding of ``payload``."""
     atomic_write_text(path, json.dumps(payload, **dump_kwargs))
+
+
+T = TypeVar("T")
+
+#: what reading an untrusted cache file raises: a truncated zip or array, a
+#: missing array, arrays that disagree with what the reader expects, an
+#: unreadable file
+_UNREADABLE = (KeyError, ValueError, OSError, EOFError, zipfile.BadZipFile)
+
+
+def _read_or_drop(path: Path, read: Callable[[Path], T]) -> Optional[T]:
+    """``read(path)``, or ``None`` when ``path`` is absent or unreadable (then unlinked)."""
+    if not path.exists():
+        return None
+    try:
+        return read(path)
+    except _UNREADABLE:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
+
+def load_or_make(
+    path: Path, read: Callable[[Path], T], make: Callable[[], T], write: Callable[[T, Path], None]
+) -> T:
+    """The artifact cached at ``path``: read it, or make it and publish it there.
+
+    Making happens under an advisory file lock, so concurrent processes
+    (pool workers, parallel CLI invocations) sharing the cache directory make
+    each artifact exactly once: whoever takes the lock first makes it and
+    publishes it atomically, everyone else blocks and then reads the
+    published file.  A file ``read`` rejects is untrusted input: it is
+    unlinked and made again.  ``write`` gets a temporary path ending in
+    ``path``'s suffix (``np.save``/``np.savez`` append theirs otherwise).
+    """
+    found = _read_or_drop(path, read)
+    if found is not None:
+        return found
+    with FileLock(path.with_name(path.name + ".lock")):
+        found = _read_or_drop(path, read)  # made elsewhere while we waited
+        if found is not None:
+            return found
+        made = make()
+        with atomic_path(path, suffix=path.suffix) as tmp:
+            write(made, tmp)
+    return made

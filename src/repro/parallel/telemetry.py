@@ -19,7 +19,9 @@ truthful whole-run sums regardless of where the work ran.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.arith.kernels import KERNEL_STATS
@@ -98,10 +100,12 @@ class RunTelemetry:
     #: :data:`repro.experiments.zoo.TRAINED_UNITS`); :meth:`zoo_training`
     #: reports the units trained since
     zoo_mark: int = field(default_factory=_zoo_mark)
-    #: ``(unit, training seconds)`` the engine's training pool trained, and
-    #: that phase's wall time
-    zoo_pool: List[Tuple[str, float]] = field(default_factory=list)
-    zoo_pool_s: float = 0.0
+    #: ``(unit, training seconds, worker pid)`` for each unit the engine's
+    #: pool trained
+    zoo_pool: List[Tuple[str, float, int]] = field(default_factory=list)
+    #: when the run's first unit started and its last one published
+    #: (``perf_counter`` seconds; ``None`` until a unit starts)
+    zoo_window: Optional[List[float]] = None
     #: merged-trace summary ({"path", "spans", "pids"}) when the run was
     #: traced (``REPRO_TRACE``); ``None`` otherwise
     trace: Optional[Dict[str, Any]] = None
@@ -109,7 +113,7 @@ class RunTelemetry:
     #: worker crashes, pool respawns, serial degradation, lease re-acquires,
     #: manifest-resumed cells, remote-tier degradation (calls that fell
     #: back to local compute / foreign artifacts refused by the trust rules),
-    #: zoo units the training pool failed to publish (trained in the parent
+    #: zoo units the pool failed to publish (trained in the parent
     #: instead), and native conv/pool kernels this process could not build or
     #: load (the numpy path ran instead).  Zero across the board on a healthy
     #: run.
@@ -138,12 +142,23 @@ class RunTelemetry:
         self.faults[name] = self.faults.get(name, 0) + n
 
     def fold_native(self) -> None:
-        """Count the native-kernel fallbacks this process resolved since run start.
+        """Count the native-kernel fallbacks this process resolved since the last fold.
 
         The process resolves its kernels once (before a pool forks, or at the
         first convolution), so pool workers never add fallbacks of their own.
         """
         self.count_fault("native_fallbacks", NATIVE_STATS.delta(self.native_mark)["fallbacks"])
+        self.native_mark = NATIVE_STATS.snapshot()
+
+    def zoo_started(self) -> None:
+        """A training unit starts (on the pool or in this process)."""
+        if self.zoo_window is None:
+            self.zoo_window = [perf_counter(), perf_counter()]
+
+    def zoo_published(self) -> None:
+        """A training unit has published."""
+        if self.zoo_window is not None:
+            self.zoo_window[1] = perf_counter()
 
     def fold_worker(self, stats: Optional[Dict[str, Any]]) -> None:
         """Merge one worker shard's counter deltas into the run totals."""
@@ -204,18 +219,22 @@ class RunTelemetry:
         """Where this run's zoo training ran: pool units, parent units, wall.
 
         ``unit_s`` holds each trained unit's training seconds, wherever it
-        trained.  ``wall_s`` is the training pool's wall time plus the
-        seconds this process spent training units itself (the ``--jobs 1``
-        path, or units the pool failed to publish).
+        trained, and ``worker`` the pid of the process that trained it (this
+        process for the ``--jobs 1`` path and for units the pool failed to
+        publish).  ``wall_s`` spans the run's first unit start to its last
+        unit publication; cells computed meanwhile overlap it.
         """
         from repro.experiments.zoo import TRAINED_UNITS
 
-        parent = TRAINED_UNITS[self.zoo_mark :]
+        parent = [(name, seconds, os.getpid()) for name, seconds in TRAINED_UNITS[self.zoo_mark :]]
+        trained = [*self.zoo_pool, *parent]
+        window = self.zoo_window or [0.0, 0.0]
         return {
-            "pool": [name for name, _ in self.zoo_pool],
-            "parent": [name for name, _ in parent],
-            "unit_s": {name: round(seconds, 3) for name, seconds in [*self.zoo_pool, *parent]},
-            "wall_s": round(self.zoo_pool_s + sum(seconds for _, seconds in parent), 3),
+            "pool": [name for name, _, _ in self.zoo_pool],
+            "parent": [name for name, _, _ in parent],
+            "unit_s": {name: round(seconds, 3) for name, seconds, _ in trained},
+            "worker": {name: pid for name, _, pid in trained},
+            "wall_s": round(window[1] - window[0], 3),
         }
 
     def progress_line(self, event: Optional[CellEvent] = None) -> str:

@@ -140,20 +140,6 @@ def _where_both_fooled(attacks: Sequence[str], test: Callable[[Any, Any], bool])
     return holds
 
 
-#: a cheap multi-cell workload for pipeline performance measurements: 12
-#: unique, independent grid cells under ``--fast`` (4 white-box + 6
-#: transferability + 2 noise profiles), nothing heavier than the fast digit
-#: model, and the two white-box experiments share their whole grid --
-#: exercising exactly the sharding, dedup and caching paths
-#: ``benchmarks/perf_pipeline.py`` times.
-FAST_PERF_SUBSET = (
-    "fig08_09_whitebox_l2",
-    "fig10_11_whitebox_psnr_mse",
-    "fig13_bfloat16_noise",
-    "table10_heap_transferability",
-)
-
-
 # ------------------------------------------------------------ figures 3-4
 register_experiment(
     ExperimentSpec(

@@ -104,7 +104,7 @@ class CellKind:
         return self.merge_fn(payload, shards)
 
     def warm(self, runner, payload: Dict[str, Any]) -> None:
-        """Resolve the models/LUTs the cell needs (pre-fork warm-up)."""
+        """Resolve the models/LUTs the cell needs (before a process's first shard of it)."""
         if self.warm_fn is not None:
             self.warm_fn(runner, payload)
 
@@ -286,9 +286,9 @@ def _mean(values: List[float]) -> float:
 
 #: process-level memo of completed warm-ups.  A run's cell graph references
 #: the same few models from many cells (and sibling experiments share whole
-#: grids), so without the memo every planned cell re-primed the same variant
-#: models and GEMM kernels; with it, one warm-up per distinct
-#: (model, variants) signature covers every experiment of every run.
+#: grids), so without the memo every shard re-primed the same variant models
+#: and GEMM kernels; with it, one warm-up per process and distinct
+#: (model, variants) signature covers every shard of every run.
 #: Cleared by :func:`repro.pipeline.runner.clear_model_caches` alongside the
 #: model memos the signatures refer to.
 _WARMED: set = set()
@@ -301,8 +301,8 @@ def zoo_requests(payload: Dict[str, Any]) -> List[Tuple[str, Tuple[Tuple[str, An
     ``model``, the ``dq_zoo`` (planned only when a DQ variant is involved)
     and a black-box ``substitute`` trained against the cell's ``victim``.
     The keyword arguments come as sorted ``(key, value)`` pairs, so a
-    request is hashable.  The pre-fork warm-up resolves exactly these; the
-    parallel engine trains their missing units first
+    request is hashable.  The warm-up resolves exactly these; the engine
+    dispatches a cell only once their units have published
     (:mod:`repro.parallel.engine`).
     """
     requests = [(payload[field], ()) for field in ("model", "dq_zoo") if payload.get(field)]
@@ -312,15 +312,14 @@ def zoo_requests(payload: Dict[str, Any]) -> List[Tuple[str, Tuple[Tuple[str, An
 
 
 def _warm_model(runner, payload: Dict[str, Any], variants: List[str]) -> None:
-    """Resolve (train or load) the zoo models a cell depends on.
+    """Resolve (load, or train) the zoo models a cell depends on.
 
     Also resolves the hardware variants and primes their fused GEMM kernels:
-    warm-up runs in the parent before the worker pool forks, so the variant
-    models, the mantissa LUTs *and* the kernels' precomposed signed-product
-    tables are all inherited copy-on-write instead of being rebuilt once per
-    worker.  Memoised per (zoo requests, variants, fast) signature --
-    experiments that share cells share one warm-up instead of re-priming per
-    cell.
+    the variant models, the mantissa LUTs (read from the zoo cache) and the
+    kernels' precomposed signed-product tables.  Each process that computes
+    a shard of the cell warms it first; the warm-up is memoised per process
+    and (zoo requests, variants, fast) signature -- experiments that share
+    cells share one warm-up instead of re-priming per cell.
     """
     requests = zoo_requests(payload)
     key = (bool(runner.fast), tuple(requests), tuple(sorted(variants)))

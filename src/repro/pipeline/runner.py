@@ -289,9 +289,13 @@ class Runner:
 
         All experiments' grid cells are planned and deduplicated up front, so
         cells shared between experiments are computed exactly once; with
-        ``jobs > 1`` the unique cells (and their shards) spread across the
-        worker pool.  ``on_result`` is invoked as each experiment's result is
-        assembled (catalog order).
+        ``jobs > 1`` the unique cells (and their shards), and the zoo units
+        they need, spread across the worker pool.  Each experiment's result
+        is assembled, written and passed to ``on_result`` the moment its
+        last cell lands, so ``on_result`` fires in completion order; the
+        returned list keeps request order.  A result written before the run
+        ends carries the run-scoped telemetry totals (kernels, attack
+        queries, zoo training) as of that moment.
         """
         from repro.parallel.plan import build_plan
 
@@ -324,45 +328,40 @@ class Runner:
                         f"{outlook['stale']} stale / {outlook['cold']} cold "
                         f"of {len(plan.tasks)} cells"
                     )
-                outcomes = self._compute_cells(plan)
-                self.telemetry.fold_native()
-                # cell compute is shared across the run's experiments, so
-                # kernel, query and zoo-training activity cannot be attributed
-                # per experiment: every result carries the same run-scoped
-                # totals (pool workers folded in), marked as such
-                kernel_delta = {"scope": "run", **self.telemetry.kernel_totals()}
-                query_delta = {"scope": "run", **self.telemetry.attack_queries()}
-                zoo_delta = {"scope": "run", **self.telemetry.zoo_training()}
-                remote_delta = None
-                if self.remote is not None:
-                    # drain pending publications first so the recorded totals
-                    # cover the whole run, not a race with the publisher
-                    self.store.flush()
-                    remote_delta = {
-                        "scope": "run",
-                        "url": self.remote,
-                        **self.telemetry.remote_totals(),
-                    }
-                    self._log(
-                        f"  remote: {remote_delta['hits']} hit(s) / "
-                        f"{remote_delta['misses']} miss(es) / "
-                        f"{remote_delta['puts']} published via {self.remote}"
-                    )
-                results = []
-                for eplan in plan.experiments:
+                results: Dict[int, ExperimentResult] = {}
+                outcomes: Dict[str, Any] = {}
+                left = [set(eplan.digests) for eplan in plan.experiments]
+
+                def land(index: int) -> None:
+                    eplan = plan.experiments[index]
                     with TRACER.span("assemble", cat="runner", experiment=eplan.spec.name):
                         result = self._assemble(eplan, plan, outcomes)
-                        result.telemetry["kernels"] = dict(kernel_delta)
-                        result.telemetry["attack_queries"] = dict(query_delta)
-                        result.telemetry["zoo"] = dict(zoo_delta)
-                        if remote_delta is not None:
-                            result.telemetry["remote"] = dict(remote_delta)
-                            result.telemetry["faults"] = dict(self.telemetry.faults)
+                        result.telemetry.update(self._run_totals())
                         if self.results_dir is not None:
                             result.write(self.results_dir)
+                    results[index] = result
                     if on_result is not None:
                         on_result(result)
-                    results.append(result)
+
+                def landed(digest: str, outcome) -> None:
+                    outcomes[digest] = outcome
+                    for index, digests in enumerate(left):
+                        if digest in digests:
+                            digests.discard(digest)
+                            if not digests:
+                                land(index)
+
+                for index, digests in enumerate(left):
+                    if not digests:  # an experiment that plans no cells
+                        land(index)
+                self._compute_cells(plan, landed)
+                self.telemetry.fold_native()
+                if self.remote is not None:
+                    remote = self.telemetry.remote_totals()
+                    self._log(
+                        f"  remote: {remote['hits']} hit(s) / {remote['misses']} miss(es) / "
+                        f"{remote['puts']} published via {self.remote}"
+                    )
                 if self._manifest is not None:
                     self._manifest.finish()
         finally:
@@ -380,7 +379,33 @@ class Runner:
                     f"  trace: {trace['spans']} spans from "
                     f"{len(trace['pids'])} process(es) -> {trace['path']}"
                 )
-        return results
+        return [results[index] for index in range(len(specs))]
+
+    def _run_totals(self) -> Dict[str, Any]:
+        """The run-scoped telemetry a result carries, as of now.
+
+        Cell compute is shared across the run's experiments, so kernel,
+        query and zoo-training activity cannot be attributed per experiment:
+        every result carries the run's totals so far (pool workers folded
+        in), marked as such.
+        """
+        self.telemetry.fold_native()
+        totals: Dict[str, Any] = {
+            "kernels": {"scope": "run", **self.telemetry.kernel_totals()},
+            "attack_queries": {"scope": "run", **self.telemetry.attack_queries()},
+            "zoo": {"scope": "run", **self.telemetry.zoo_training()},
+        }
+        if self.remote is not None:
+            # drain pending publications first so the recorded totals cover
+            # the run so far, not a race with the publisher
+            self.store.flush()
+            totals["remote"] = {
+                "scope": "run",
+                "url": self.remote,
+                **self.telemetry.remote_totals(),
+            }
+            totals["faults"] = dict(self.telemetry.faults)
+        return totals
 
     def _prepare_manifest(self, label: str, specs, cells_total: int) -> None:
         """Arm this run's crash-resume manifest (requires a results dir).
@@ -419,8 +444,8 @@ class Runner:
         """The registered handler for an experiment kind (plan/assemble pair)."""
         return EXPERIMENT_KINDS.get(kind).factory
 
-    def _compute_cells(self, plan) -> Dict[str, Any]:
-        """Materialise every unique planned cell; returns digest -> outcome."""
+    def _compute_cells(self, plan, landed: Callable[[str, Any], None]) -> None:
+        """Materialise every unique planned cell; ``landed(digest, outcome)`` as each lands."""
         from repro.parallel.engine import ParallelEngine
 
         def record(task, outcome) -> None:
@@ -443,11 +468,12 @@ class Runner:
             self._log(self.telemetry.progress_line(event))
             if self.on_cell is not None:
                 self.on_cell(event)
+            landed(task.digest, outcome)
 
-        outcomes = ParallelEngine(self).execute(plan.scheduled(), on_cell=record)
+        groups = [eplan.digests for eplan in plan.experiments]
+        outcomes = ParallelEngine(self).execute(plan.scheduled(), on_cell=record, groups=groups)
         self.cache_hits += sum(1 for o in outcomes.values() if o.status == "hit")
         self.cache_misses += sum(1 for o in outcomes.values() if o.status == "computed")
-        return outcomes
 
     def _assemble(self, eplan, plan, outcomes) -> ExperimentResult:
         """Build one experiment's result from its materialised cells."""

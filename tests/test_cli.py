@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import re
 import resource
 import subprocess
 import sys
@@ -96,6 +97,8 @@ def test_run_writes_results(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "table07_energy_delay" in out
+    # printed as it lands, with its time since the command started
+    assert re.search(r"# wrote \S+/table07_energy_delay\.txt and \.json \(\+\d+\.\ds, ", out)
     assert (results_dir / "table07_energy_delay.txt").exists()
     payload = json.loads((results_dir / "table07_energy_delay.json").read_text())
     assert payload["fast"] is True

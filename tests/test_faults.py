@@ -13,9 +13,11 @@ import pickle
 import shutil
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.parallel.engine as engine
 from repro.arith.fpm import AxFPM
 from repro.arith.kernels import FusedLutGemmKernel
 from repro.cli import main
@@ -229,7 +231,7 @@ def test_manifest_roundtrip(tmp_path):
 # ------------------------------------------------------------ injection sites
 def test_kernel_build_fail_fires_once_then_heals():
     # resolved before arming: at probability 1.0 a first resolution would
-    # also fire at native:<DIGEST> and leave the process without the library
+    # also fire at the native build's key and leave the process without the library
     native.BACKEND.kernels()
     FAULTS.configure("kernel.build_fail:1.0")
     with pytest.raises(InjectedFault):
@@ -305,6 +307,30 @@ def test_hung_shards_time_out_and_results_survive(tmp_path, monkeypatch):
 
 
 @needs_fork
+def test_a_pool_found_broken_at_submit_is_rebuilt(tmp_path, monkeypatch):
+    # a worker can die between the engine's wait and its next submit (an
+    # idle worker killed, or one whose crash no collected future reported
+    # yet): the submit raises instead of returning a future
+    clean = make_runner(tmp_path, "clean", jobs=1).run("table07_energy_delay")
+
+    class BrokenOnce(engine.ProcessPoolExecutor):
+        broke = False
+
+        def submit(self, *args, **kwargs):
+            if not BrokenOnce.broke:
+                BrokenOnce.broke = True
+                raise BrokenProcessPool("a worker died while idle")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", BrokenOnce)
+    runner = make_runner(tmp_path, "chaos", jobs=2)
+    result = runner.run("table07_energy_delay")
+    faults = runner.telemetry.faults
+    assert (faults["worker_crashes"], faults["pool_respawns"], faults["shard_retries"]) == (1, 1, 0)
+    assert deterministic_json(result) == deterministic_json(clean)
+
+
+@needs_fork
 def test_exhausted_retries_raise_cell_identity(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "0")
     FAULTS.configure("worker.crash:1.0")
@@ -347,14 +373,13 @@ def test_cli_reports_failing_cell_and_resume_hint(tmp_path, monkeypatch, capsys)
 def _axfpm_build_fail_seed() -> int:
     """A ``kernel.build_fail:0.5`` seed that fires at the Ax-FPM kernel only.
 
-    Searched rather than pinned: it must not fire at ``native:<DIGEST>``
-    (that would put the process on the numpy path instead), and the digest
-    moves whenever the C source does.
+    Searched rather than pinned: it must not fire at the native build's key
+    (that would put the process on the numpy path instead).
     """
     for seed in range(1000):
         spec = FaultSpec("kernel.build_fail", 0.5, seed)
         if FaultInjector._decide(spec, "axfpm") and not FaultInjector._decide(
-            spec, f"native:{native.DIGEST}"
+            spec, native.FAULT_KEY
         ):
             return seed
     raise AssertionError("no seed fires at axfpm alone")
@@ -362,10 +387,12 @@ def _axfpm_build_fail_seed() -> int:
 
 @needs_cc
 @needs_fork
-def test_kernel_build_fault_in_the_warm_up_heals_at_every_jobs_value(tmp_path, tiny_zoo_entry):
-    # the DA victim's fused-GEMM kernels are first built by the warm-up, so
-    # that is where the fault fires; the warm-up's retry must heal it at
-    # jobs=1 (in-process) and jobs=2 (before the pool forks) alike
+def test_kernel_build_fault_in_a_shard_heals_at_every_jobs_value(tmp_path, tiny_zoo_entry):
+    # the DA victim's fused-GEMM kernels are first built by the warm-up of
+    # the first DA shard a process computes, so that is where the fault
+    # fires; the shard's retry must heal it at jobs=1 (in-process, where it
+    # fires once) and jobs=2 (in each pool worker that warms the DA victim,
+    # each firing once: its own once-per-key guard)
     spec = ExperimentSpec(
         name="faults_da_whitebox",
         kind="whitebox",
@@ -384,8 +411,12 @@ def test_kernel_build_fault_in_the_warm_up_heals_at_every_jobs_value(tmp_path, t
         mark = FAULT_STATS.snapshot()
         runner = make_runner(tmp_path, jobs=jobs, use_cache=False, shard_size=2)
         result = runner.run(spec)
-        assert FAULT_STATS.delta(mark)["kernel_build_fail"] == 1, jobs
-        assert runner.telemetry.faults["shard_retries"] == 1, jobs
+        if jobs == 1:
+            assert FAULT_STATS.delta(mark)["kernel_build_fail"] == 1
+            assert runner.telemetry.faults["shard_retries"] == 1
+        else:  # fired in the workers, never in the parent
+            assert FAULT_STATS.delta(mark)["kernel_build_fail"] == 0
+            assert 1 <= runner.telemetry.faults["shard_retries"] <= 2
         assert deterministic_json(result) == deterministic_json(clean), jobs
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arith.array_multiplier import ArrayMultiplier, UniformCellPolicy
 from repro.arith.fpm import (
     ApproxFPM,
     AxFPM,
@@ -12,6 +13,7 @@ from repro.arith.fpm import (
     ExactMultiplier,
     HEAPMultiplier,
     get_multiplier,
+    lut_cache_path,
 )
 
 operands = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, width=32)
@@ -187,3 +189,75 @@ def test_callable_interface():
     a = np.array([0.5], dtype=np.float32)
     b = np.array([0.5], dtype=np.float32)
     np.testing.assert_array_equal(ax(a, b), ax.multiply(a, b))
+
+
+# ------------------------------------------------ mantissa tables on disk
+@pytest.fixture()
+def table_cache(tmp_path, monkeypatch):
+    """A private, empty ``tables/`` cache and empty in-process table memos."""
+    import repro.arith.fpm as fpm
+    import repro.arith.kernels as kernels
+
+    monkeypatch.setenv("REPRO_DA_CACHE", str(tmp_path))
+    monkeypatch.setattr(fpm, "_LUT_CACHE", {})
+    monkeypatch.setattr(kernels, "_PRODUCT_TABLES", {})
+    return tmp_path / "tables"
+
+
+def _forget_tables():
+    """Drop the in-process memos, as a fresh process starts without them."""
+    import repro.arith.fpm as fpm
+    import repro.arith.kernels as kernels
+
+    fpm._LUT_CACHE.clear()
+    kernels._PRODUCT_TABLES.clear()
+
+
+@pytest.mark.parametrize("design", [AxFPM, HEAPMultiplier])
+def test_a_read_back_table_equals_a_built_one_byte_for_byte(table_cache, design):
+    built = design()._get_lut()
+    (path,) = table_cache.glob("*.npy")
+    assert path == lut_cache_path(design()._lut_cache_key())
+    _forget_tables()
+    read = design()._get_lut()
+    assert read is not built
+    assert read.dtype == built.dtype and read.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "wrong shape"])
+def test_damaged_table_files_are_rebuilt(table_cache, damage):
+    want = AxFPM()._get_lut().tobytes()
+    (path,) = table_cache.glob("*.npy")
+    if damage == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif damage == "garbage":
+        path.write_bytes(b"not a table at all" * 100)
+    else:
+        np.save(path, np.zeros((4, 4), dtype=np.uint32))
+    _forget_tables()
+    assert AxFPM()._get_lut().tobytes() == want
+    _forget_tables()
+    assert AxFPM()._get_lut().tobytes() == want  # the rebuilt file reads back
+
+
+def test_designs_without_a_cache_key_stay_uncached(table_cache):
+    class CustomPolicy(UniformCellPolicy):
+        pass
+
+    multiplier = ApproxFPM(cells=CustomPolicy("ama5"), frac_bits=4)
+    assert multiplier._lut_cache_key() is None
+    multiplier._get_lut()
+    assert not table_cache.exists()
+
+
+def test_a_warm_cache_builds_no_table_for_a_product_table(table_cache, monkeypatch):
+    from repro.arith.kernels import _resolve_product_table
+
+    want = _resolve_product_table(AxFPM()).tobytes()
+    _forget_tables()
+
+    def simulate(self):
+        raise AssertionError("the gate-level tabulation ran over a warm table cache")
+
+    monkeypatch.setattr(ArrayMultiplier, "build_lut", simulate)
+    assert _resolve_product_table(AxFPM()).tobytes() == want

@@ -513,7 +513,7 @@ def test_without_the_library_the_reference_kernel_gives_the_same_bytes(cause, tm
     else:
         FAULTS.configure("kernel.build_fail:1.0")
         try:
-            with pytest.warns(RuntimeWarning, match=f"native:{native.DIGEST}"):
+            with pytest.warns(RuntimeWarning, match=f"kernel.build_fail at {native.FAULT_KEY}"):
                 assert backend.kernels() is None
         finally:
             FAULTS.configure(None)

@@ -542,7 +542,7 @@ def test_build_fail_fault_falls_back_with_the_same_bytes(tmp_path):
     FAULTS.configure("kernel.build_fail:1.0")
     try:
         backend = native.NativeBackend(tmp_path)
-        _counted_fallback(backend, f"native:{native.DIGEST}")
+        _counted_fallback(backend, f"kernel.build_fail at {native.FAULT_KEY}")
     finally:
         FAULTS.configure(None)
     assert FAULT_STATS.kernel_build_fail == injected + 1
@@ -554,13 +554,12 @@ def test_build_fail_fault_falls_back_with_the_same_bytes(tmp_path):
 
 
 def test_ci_chaos_seed_fires_only_at_the_native_key():
-    """CI's native-fallback chaos leg must hit ``native:<DIGEST>`` and nothing else.
+    """CI's native-fallback chaos leg must hit the native key and nothing else.
 
     Its ``kernel.build_fail`` coin also runs at every fused-GEMM kernel
     build, keyed by the multiplier's ``name``.  The engine's retry would heal
     a firing there, but the leg is meant to show one fault, the native
     fallback that its ``native_fallbacks=1`` and ``0 fused`` greps check.
-    A change to the C source changes the digest: re-pick the seed then.
     """
     from repro.arith.fpm import Multiplier
 
@@ -569,7 +568,7 @@ def test_ci_chaos_seed_fires_only_at_the_native_key():
     assert len(specs) == 1, specs
     probability, seed = specs.pop()
     spec = FaultSpec("kernel.build_fail", float(probability), int(seed))
-    assert FaultInjector._decide(spec, f"native:{native.DIGEST}")
+    assert FaultInjector._decide(spec, native.FAULT_KEY)
 
     def subclasses(cls):
         for sub in cls.__subclasses__():

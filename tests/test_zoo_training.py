@@ -1,19 +1,23 @@
-"""Tests for the zoo training phase of the parallel engine.
+"""Tests for the zoo training units on the engine's one schedule.
 
-A ``--jobs N`` run that finds two or more zoo training units (one per cached
-``.npz``) missing trains them on a fork pool before the pre-fork warm-up.
-The contract: pool-trained parameters are bit-identical to the ones a
-``--jobs 1`` run trains in-process, a unit the pool fails to publish is
-trained by the parent instead (and counted), and a warm zoo costs no pool.
+A run trains the zoo training units (one per cached ``.npz``) its cells need
+and finds missing on the same queue as the cells: on the ``--jobs N`` pool,
+or in-process at ``--jobs 1``.  The contract: pool-trained parameters are
+bit-identical to the ones a ``--jobs 1`` run trains in-process, a unit the
+pool fails to publish is trained by the parent instead (and counted), a
+warm zoo trains nothing, units and shards share one pool, no cell lease is
+held while a unit the cell needs trains, and a result that needs no unit is
+written while the units train.
 
 The zoo entries here are registered inside the tests and train in
 milliseconds; ``fork`` carries the registrations into the pool workers.
 """
 
-import contextlib
 import itertools
 import json
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -25,13 +29,14 @@ from repro.experiments.zoo import ZOO, zoo_cache_path, zoo_units
 from repro.faults import FAULTS
 from repro.nn import Adam, build_lenet5, train_classifier
 from repro.obs import TRACER
-from repro.parallel.engine import ParallelEngine
+from repro.parallel.plan import build_plan
 from repro.pipeline import ExperimentSpec, Runner
 from repro.pipeline.runner import clear_model_caches
+from repro.store import ArtifactStore
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the training pool needs fork to inherit the test zoo entries",
+    reason="the pool needs fork to inherit the test zoo entries",
 )
 
 #: a base entry and one whose recipe depends on it (the LeNet/substitute shape)
@@ -40,13 +45,17 @@ BASE, DEPENDENT = "zoo_training_base", "zoo_training_dependent"
 _RUNS = itertools.count()
 
 
-def _register(name, seed, split, depends_on=()):
+def _register(name, seed, split, depends_on=(), before_training=None):
+    """A tiny trainable entry; ``before_training(name)`` runs where its unit trains."""
+
     def build():
         return build_lenet5(
             split.train.input_shape, conv_channels=(2, 4), fc_sizes=(8, 8), dropout=0.2, seed=seed
         )
 
     def train(model):
+        if before_training is not None:
+            before_training(name)
         optimizer = Adam(model.parameters(), lr=0.003)
         train_classifier(model, optimizer, split.train.images, split.train.labels, epochs=2)
 
@@ -72,7 +81,7 @@ def tiny_zoo(tmp_path, monkeypatch):
     monkeypatch.setattr(zoo, "CACHE_DIR", tmp_path / "zoo-default")  # never the user's cache
     clear_model_caches()
     FAULTS.configure(None)
-    yield
+    yield split
     FAULTS.configure(None)
     clear_model_caches()
     TRACER.configure()
@@ -145,30 +154,25 @@ def _failing_unit(name):
     raise RuntimeError(f"{name} cannot train here")
 
 
+def _crashing_unit(name):
+    os._exit(117)  # what an injected worker.crash at zoo:<name> does
+
+
 @needs_fork
 @pytest.mark.parametrize("failure", ["crash", "raise"])
 def test_units_the_pool_fails_to_publish_are_trained_by_the_parent(
     tmp_path, monkeypatch, tiny_zoo, failure
 ):
     run_into(tmp_path / "zoo-serial", monkeypatch, tmp_path, jobs=1)
+    # the worker looks the function up in its forked copy of the module, so
+    # every unit fails on the pool while the cells' shards run as usual
     if failure == "crash":
-        train_zoo = ParallelEngine._train_zoo
-
-        def crash_every_training_worker(self, tasks):
-            FAULTS.configure("worker.crash:1.0")  # armed for the training units only
-            try:
-                train_zoo(self, tasks)
-            finally:
-                FAULTS.configure(None)
-
-        monkeypatch.setattr(ParallelEngine, "_train_zoo", crash_every_training_worker)
-        expect_warning = contextlib.nullcontext()
-    else:
-        # the worker looks the function up in its forked copy of the module
-        monkeypatch.setattr(engine, "_train_unit", _failing_unit)
-        expect_warning = pytest.warns(RuntimeWarning, match="cannot train here")
-    with expect_warning:
+        monkeypatch.setattr(engine, "_train_unit", _crashing_unit)
         runner, _ = run_into(tmp_path / "zoo-fallback", monkeypatch, tmp_path, jobs=2)
+    else:
+        monkeypatch.setattr(engine, "_train_unit", _failing_unit)
+        with pytest.warns(RuntimeWarning, match="cannot train here"):
+            runner, _ = run_into(tmp_path / "zoo-fallback", monkeypatch, tmp_path, jobs=2)
 
     assert npz_arrays(tmp_path / "zoo-fallback") == npz_arrays(tmp_path / "zoo-serial")
     # the dependent unit never reached the pool: its dependency did not publish
@@ -179,24 +183,47 @@ def test_units_the_pool_fails_to_publish_are_trained_by_the_parent(
     assert sorted(zoo_run["unit_s"]) == unit_names()
 
 
+class RecordingPool(engine.ProcessPoolExecutor):
+    """The engine's pool class, recording each pool, what it ran and its pids."""
+
+    pools = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted, self.pids = [], set()
+        RecordingPool.pools.append(self)
+
+    def submit(self, fn, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.submitted.append(fn.__name__)
+        self.pids.update(self._processes)
+        return future
+
+
+@pytest.fixture()
+def recording_pool(monkeypatch):
+    RecordingPool.pools = []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.pools
+
+
 @needs_fork
-def test_warm_zoo_spawns_no_training_pool(tmp_path, monkeypatch, tiny_zoo):
+def test_warm_zoo_spawns_no_training_pool(tmp_path, monkeypatch, tiny_zoo, recording_pool):
     zoo_dir = tmp_path / "zoo"
     run_into(zoo_dir, monkeypatch, tmp_path, jobs=2)  # trains the zoo
-    initializers = []
-    pool_class = engine.ProcessPoolExecutor
-
-    def recording_pool(*args, **kwargs):
-        initializers.append(kwargs.get("initializer"))
-        return pool_class(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", recording_pool)
+    del recording_pool[:]
     runner, result = run_into(zoo_dir, monkeypatch, tmp_path, jobs=2)
-    assert result.cache_misses == 2  # fresh cell cache: the cell pool did run
-    assert initializers and engine._units_worker_init not in initializers
+    assert result.cache_misses == 2  # fresh cell cache: the pool did run
+    (pool,) = recording_pool
+    assert pool.submitted == ["_run_shard", "_run_shard"]  # and trained nothing
     assert runner.telemetry.zoo_training() == {
-        "pool": [], "parent": [], "unit_s": {}, "wall_s": 0.0
+        "pool": [], "parent": [], "unit_s": {}, "worker": {}, "wall_s": 0.0
     }
+
+
+def trace_spans(results, name="zoo_training_accuracy"):
+    text = (results / f"{name}.trace.ndjson").read_text()
+    return [json.loads(line) for line in text.splitlines()]
 
 
 @needs_fork
@@ -204,19 +231,99 @@ def test_traced_pool_training_spans_come_from_the_workers(tmp_path, monkeypatch,
     TRACER.configure(enabled=True, directory=tmp_path / "spool")
     results = tmp_path / "results"
     run_into(tmp_path / "zoo", monkeypatch, tmp_path, jobs=2, results_dir=results)
-    spans = [
-        json.loads(line)
-        for line in (results / "zoo_training_accuracy.trace.ndjson").read_text().splitlines()
-    ]
+    spans = trace_spans(results)
+    parent = next(s["pid"] for s in spans if s["name"] == "run")
     train = [s for s in spans if s["name"] == "zoo.train"]
-    pool = [s for s in spans if s["name"] == "zoo.pool"]
     assert sorted(s["args"]["unit"] for s in train) == unit_names()
-    assert len(pool) == 1
-    # trained in pool workers, never in the parent that opened the phase
-    assert pool[0]["pid"] not in {s["pid"] for s in train}
-    # the warm-up afterwards only loads
-    loads = {s["args"]["unit"] for s in spans if s["name"] == "zoo.load" and s["pid"] == pool[0]["pid"]}
-    assert loads == set(unit_names())
+    # trained in pool workers, never in the parent
+    assert parent not in {s["pid"] for s in train}
+    # the workers load what their shards need; the parent loads nothing
+    loads = [s for s in spans if s["name"] == "zoo.load"]
+    assert loads and parent not in {s["pid"] for s in loads}
+
+
+@needs_fork
+def test_units_and_shards_run_on_one_pool(tmp_path, monkeypatch, tiny_zoo, recording_pool):
+    TRACER.configure(enabled=True, directory=tmp_path / "spool")
+    results = tmp_path / "results"
+    runner, _ = run_into(tmp_path / "zoo", monkeypatch, tmp_path, jobs=2, results_dir=results)
+    (pool,) = recording_pool  # one pool for the whole run
+    assert sorted(pool.submitted) == ["_run_shard"] * 2 + ["_train_unit"] * 2
+    spans = trace_spans(results)
+    ran = {s["name"]: set() for s in spans}
+    for span in spans:
+        ran[span["name"]].add(span["pid"])
+    assert ran["zoo.train"] and ran["shard"]
+    assert ran["zoo.train"] | ran["shard"] <= pool.pids
+    assert set(runner.telemetry.zoo_training()["worker"].values()) <= pool.pids
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_no_lease_is_held_while_a_unit_the_cell_needs_is_unpublished(tmp_path, tiny_zoo, jobs):
+    # a unit may train for minutes: a cell lease held through it could
+    # outlive its TTL and let a second process sharing the store compute
+    # the cell again.  Each unit, where it trains, reads the leases of the
+    # cells that need it.
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool needs fork to inherit the test zoo entries")
+    cells = tmp_path / "cells"
+    runner = Runner(fast=True, cache_dir=cells, jobs=jobs)
+    plan = build_plan(runner, [accuracy_spec()])
+    needers = {
+        BASE: list(plan.tasks),  # the dependent's cell needs the base unit too
+        DEPENDENT: [d for d, t in plan.tasks.items() if t.payload["model"] == DEPENDENT],
+    }
+    seen = tmp_path / "leases.txt"
+
+    def probe(name):
+        store = ArtifactStore(cells)
+        with seen.open("a") as out:
+            for digest in needers[name]:
+                out.write(f"{name} {store.lease_holder('accuracy', digest)}\n")
+
+    _register(BASE, 1, tiny_zoo, before_training=probe)
+    _register(DEPENDENT, 2, tiny_zoo, depends_on=[BASE], before_training=probe)
+    runner.run(accuracy_spec())
+    assert sorted(seen.read_text().splitlines()) == [
+        f"{BASE} None", f"{BASE} None", f"{DEPENDENT} None"
+    ]
+
+
+def _wait_for(path, seconds=15.0):
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path.exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_result_that_needs_no_unit_is_written_while_a_unit_trains(tmp_path, tiny_zoo, jobs):
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool needs fork to inherit the test zoo entries")
+    results = tmp_path / "results"
+    written = results / "table07_energy_delay.json"
+    marker = tmp_path / "marker.txt"
+
+    def block(name):
+        # training waits for the zoo-free result; a schedule that trains the
+        # unit first times out here instead
+        marker.write_text("written" if _wait_for(written) else "timed out")
+
+    _register(BASE, 1, tiny_zoo, before_training=block)
+    spec = accuracy_spec().replace(
+        params={
+            "columns": [
+                {"key": BASE, "label": BASE, "model": BASE, "variants": ["exact"], "n_samples": 8}
+            ],
+            "rows": [{"label": "Float32", "variant": "exact"}],
+        }
+    )
+    landed = []
+    runner = Runner(fast=True, cache_dir=tmp_path / "cells", results_dir=results, jobs=jobs)
+    runner.run_many([spec, "table07_energy_delay"], on_result=lambda r: landed.append(r.name))
+    assert marker.read_text() == "written"
+    assert landed == ["table07_energy_delay", spec.name]  # completion order
+    assert runner.telemetry.zoo_training()["pool" if jobs > 1 else "parent"] == [BASE]
 
 
 def test_a_truncated_unit_file_is_retrained_with_the_same_bytes(tmp_path, tiny_zoo):
