@@ -11,7 +11,8 @@ Run with:  python examples/blackbox_substitute.py
 
 from repro.attacks import PGD
 from repro.attacks.base import Classifier
-from repro.core import DefensiveApproximation, evaluate_black_box, train_substitute
+from repro.core import DefensiveApproximation, train_substitute
+from repro.core.evaluation import select_correctly_classified, transfer, transfer_rates
 from repro.experiments import lenet_digits
 from repro.nn import build_lenet5
 
@@ -35,17 +36,23 @@ def main() -> None:
         substitute = train_substitute(
             victim.predict, query_set, build_model=substitute_factory, epochs=15, seed=21
         )
-        evaluation = evaluate_black_box(
-            victim,
-            Classifier(substitute),
+        # black-box is transfer with the substitute as the source and the
+        # victim as the only target; victims are the first 15 test samples
+        # the substitute gets right
+        source = Classifier(substitute)
+        victims = select_correctly_classified(source, split.test.images, split.test.labels, 15)
+        counts = transfer(
+            source,
+            {"victim": victim},
             PGD(epsilon=0.1, steps=15),
-            split.test.images,
-            split.test.labels,
-            max_samples=15,
+            split.test.images[victims],
+            split.test.labels[victims],
         )
-        print(f"  PGD success on the substitute: {100 * evaluation.substitute_success_rate:.0f}%")
-        print(f"  PGD success on the victim:     {100 * evaluation.victim_success_rate:.0f}%")
-        print(f"  victim robustness:             {100 * evaluation.victim_robustness:.0f}%")
+        rates = transfer_rates([counts])
+        victim_success = rates["targets"]["victim"]
+        print(f"  PGD success on the substitute: {100 * rates['source_success_rate']:.0f}%")
+        print(f"  PGD success on the victim:     {100 * victim_success:.0f}%")
+        print(f"  victim robustness:             {100 * (1 - victim_success):.0f}%")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ Run with:  python examples/quickstart.py
 import numpy as np
 
 from repro.attacks import FGSM
-from repro.core import DefensiveApproximation, evaluate_transferability
+from repro.core import DefensiveApproximation
+from repro.core.evaluation import select_correctly_classified, transfer, transfer_rates
 from repro.datasets import generate_digits, train_test_split
 from repro.nn import Adam, build_lenet5, train_classifier
 
@@ -45,21 +46,22 @@ def main() -> None:
 
     # 4. Attack: craft FGSM adversarial examples against the exact model and
     #    replay them against both models (the transferability threat model).
+    #    Victims are the first 20 test samples the exact model gets right.
     print("Crafting FGSM adversarial examples on the exact model...")
-    evaluation = evaluate_transferability(
-        source=defense.exact_classifier(),
-        targets={"exact": defense.exact_classifier(), "defended (DA)": defense.defended_classifier()},
-        attack=FGSM(epsilon=0.1),
-        images=split.test.images,
-        labels=split.test.labels,
-        max_samples=20,
+    source = defense.exact_classifier()
+    victims = select_correctly_classified(source, split.test.images, split.test.labels, 20)
+    counts = transfer(
+        source,
+        {"exact": defense.exact_classifier(), "defended (DA)": defense.defended_classifier()},
+        FGSM(epsilon=0.1),
+        split.test.images[victims],
+        split.test.labels[victims],
     )
-    print(f"  attack success on the exact model:    "
-          f"{100 * evaluation.target_success_rates['exact']:.0f}%")
-    print(f"  attack success on the defended model: "
-          f"{100 * evaluation.target_success_rates['defended (DA)']:.0f}%")
+    success = transfer_rates([counts])["targets"]
+    print(f"  attack success on the exact model:    {100 * success['exact']:.0f}%")
+    print(f"  attack success on the defended model: {100 * success['defended (DA)']:.0f}%")
     print(f"  => Defensive Approximation blocked "
-          f"{100 * evaluation.target_robustness['defended (DA)']:.0f}% of the transferred attacks")
+          f"{100 * (1 - success['defended (DA)']):.0f}% of the transferred attacks")
 
 
 if __name__ == "__main__":

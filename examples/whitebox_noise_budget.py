@@ -9,7 +9,8 @@ Run with:  python examples/whitebox_noise_budget.py
 """
 
 from repro.attacks import DeepFool
-from repro.core import DefensiveApproximation, evaluate_white_box
+from repro.core import DefensiveApproximation
+from repro.core.evaluation import select_correctly_classified, white_box, white_box_budget
 from repro.experiments import lenet_digits
 
 
@@ -23,18 +24,20 @@ def main() -> None:
         ("Defensive Approximation classifier", defense.defended_classifier()),
     ):
         print(f"\nAttacking the {name} with white-box DeepFool...")
-        evaluation = evaluate_white_box(
+        # only samples the victim gets right are attacked: fooling an
+        # already-misclassified sample needs no perturbation
+        victims = select_correctly_classified(victim, split.test.images, split.test.labels, 5)
+        stats = white_box(
             victim,
             DeepFool(max_iterations=30),
-            split.test.images,
-            split.test.labels,
-            max_samples=5,
-            victim_name=name,
+            split.test.images[victims],
+            split.test.labels[victims],
         )
-        print(f"  attack success rate: {100 * evaluation.success_rate:.0f}%")
-        print(f"  mean L2 perturbation: {evaluation.mean_l2:.3f}")
-        print(f"  mean MSE:             {evaluation.mean_mse:.5f}")
-        print(f"  mean PSNR:            {evaluation.mean_psnr:.1f} dB")
+        budget = white_box_budget([stats])
+        print(f"  attack success rate: {100 * budget['success_rate']:.0f}%")
+        print(f"  mean L2 perturbation: {budget['mean_l2']:.3f}")
+        print(f"  mean MSE:             {budget['mean_mse']:.5f}")
+        print(f"  mean PSNR:            {budget['mean_psnr']:.1f} dB")
 
     print(
         "\nA white-box attacker can always succeed eventually; the defense shows up as a\n"

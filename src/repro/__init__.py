@@ -10,7 +10,7 @@
 * :mod:`repro.datasets` -- synthetic MNIST-like and CIFAR-like datasets;
 * :mod:`repro.attacks` -- the eight evasion attacks of the paper's Table 1;
 * :mod:`repro.core` -- the Defensive Approximation defense and the
-  transferability / black-box / white-box evaluation harnesses;
+  threat-model protocols the cells run (transfer, white-box);
 * :mod:`repro.hw` -- the analytical energy/delay cost model;
 * :mod:`repro.registry` -- the unified component registry every pluggable
   piece (multipliers, adder cells, attacks, models, datasets, zoo entries,

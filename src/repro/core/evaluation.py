@@ -1,28 +1,30 @@
-"""Threat-model evaluation harnesses.
+"""The paper's threat-model protocols (Section 3.1), one implementation each.
 
-Three harnesses mirror the paper's attack scenarios (Section 3.1):
+A protocol is a function over one slice of victims that returns counts and
+per-sample statistics; its fold sums a list of slices into the rates and
+means the paper reports.  The pipeline's attack cells call the protocol in
+every shard and the fold in their merge (:mod:`repro.pipeline.cells`); a
+script calls both over one slice.
 
-* :func:`evaluate_transferability` -- adversarial examples are crafted on a
-  *source* classifier (the exact model) and replayed against one or more
-  *target* classifiers (the DA model, DQ models, bfloat16, ...).  Behind
-  Tables 2, 3, 5 and 10.
-* :func:`evaluate_black_box` -- adversarial examples are crafted on a
-  *substitute* model trained from the victim's query responses and replayed
-  against the victim.  Behind Table 4.
-* :func:`evaluate_white_box` -- the attack runs directly against the victim
-  with full (BPDA) gradient access; robustness is measured by the perturbation
-  budget required.  Behind Figures 8-11.
+* :func:`transfer` -- adversarial examples are crafted on a *source*
+  classifier and replayed on one or more *targets*.  Transferability
+  (grey-box) crafts on the exact model and replays on the DA model, DQ
+  models, bfloat16, ... (Tables 2, 3, 5 and 10).  Black-box crafts on a
+  substitute trained from the victim's query labels and replays on the
+  victim alone (Table 4).  :func:`transfer_rates` folds the slices.
+* :func:`white_box` -- the attack runs directly against the victim with full
+  (BPDA) gradient access; robustness is the perturbation budget the
+  successful examples needed (Figures 8-11).  :func:`white_box_budget` folds
+  the slices.
 
-Following the paper's methodology, transfer rates are reported over the
-samples that (a) the source classifier originally classifies correctly and
-(b) the attack successfully fools on the source -- that is the "100 %" column
-of the paper's tables.
+Victims are the samples the crafting model classifies correctly
+(:func:`select_correctly_classified`), and a target's rate counts only the
+examples that fooled the source -- the "100 %" column of the paper's tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -64,178 +66,94 @@ def select_correctly_classified(
     return indices[:max_samples]
 
 
-# ------------------------------------------------------------ transferability
-@dataclass
-class TransferabilityEvaluation:
-    """Outcome of one transferability experiment for one attack method."""
-
-    attack_name: str
-    source_name: str
-    n_crafted: int
-    n_source_success: int
-    source_success_rate: float
-    #: per-target success rate among the examples that fooled the source model
-    target_success_rates: Dict[str, float] = field(default_factory=dict)
-    #: per-target robustness = 1 - success rate (the paper's headline metric)
-    target_robustness: Dict[str, float] = field(default_factory=dict)
-
-    def summary_row(self, target_order: Sequence[str]) -> list:
-        """Row for the paper-style table: attack, source rate, then each target."""
-        row: list = [self.attack_name, f"{100 * self.source_success_rate:.0f}%"]
-        row += [f"{100 * self.target_success_rates.get(t, float('nan')):.0f}%" for t in target_order]
-        return row
+def _ratio(numerator: int, denominator: int) -> float:
+    return numerator / denominator if denominator else 0.0
 
 
-def evaluate_transferability(
+def _mean(values: List[float]) -> float:
+    return float(np.mean(np.asarray(values, dtype=np.float64))) if values else float("nan")
+
+
+# --------------------------------------------------- transfer (grey/black box)
+def transfer(
     source: Classifier,
-    targets: Dict[str, Classifier],
+    targets: Mapping[str, Classifier],
     attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    max_samples: Optional[int] = None,
-    require_source_correct: bool = True,
-) -> TransferabilityEvaluation:
-    """Craft adversarial examples on ``source`` and replay them on ``targets``."""
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if require_source_correct:
-        indices = select_correctly_classified(source, images, labels, max_samples)
-    else:
-        indices = np.arange(len(images) if max_samples is None else min(len(images), max_samples))
-    x = images[indices]
-    y = labels[indices]
+    x: np.ndarray,
+    y: np.ndarray,
+) -> Dict[str, Any]:
+    """Craft on ``source`` from the victims ``(x, y)`` and replay on each target.
 
-    result = attack.generate(source, x, y)
-    fooled = result.success
-    adv = result.adversarial[fooled]
-    adv_labels = y[fooled]
-
-    evaluation = TransferabilityEvaluation(
-        attack_name=attack.name,
-        source_name="source",
-        n_crafted=len(x),
-        n_source_success=int(fooled.sum()),
-        source_success_rate=float(fooled.mean()) if len(fooled) else 0.0,
-    )
-    for name, target in targets.items():
-        if len(adv) == 0:
-            evaluation.target_success_rates[name] = 0.0
-            evaluation.target_robustness[name] = 1.0
-            continue
-        target_preds = target.predict(adv)
-        success = float(np.mean(target_preds != adv_labels))
-        evaluation.target_success_rates[name] = success
-        evaluation.target_robustness[name] = 1.0 - success
-    return evaluation
-
-
-# ---------------------------------------------------------------- black box
-@dataclass
-class BlackBoxEvaluation:
-    """Outcome of one black-box (substitute-model) experiment."""
-
-    attack_name: str
-    n_crafted: int
-    substitute_success_rate: float
-    victim_success_rate: float
-
-    @property
-    def victim_robustness(self) -> float:
-        return 1.0 - self.victim_success_rate
-
-
-def evaluate_black_box(
-    victim: Classifier,
-    substitute: Classifier,
-    attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    max_samples: Optional[int] = None,
-    require_substitute_correct: bool = True,
-) -> BlackBoxEvaluation:
-    """Craft adversarial examples on the substitute and replay them on the victim."""
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    if require_substitute_correct:
-        indices = select_correctly_classified(substitute, images, labels, max_samples)
-    else:
-        indices = np.arange(len(images) if max_samples is None else min(len(images), max_samples))
-    x = images[indices]
-    y = labels[indices]
-
-    result = attack.generate(substitute, x, y)
-    fooled = result.success
-    adv = result.adversarial[fooled]
-    adv_labels = y[fooled]
-    if len(adv):
-        victim_preds = victim.predict(adv)
-        victim_success = float(np.mean(victim_preds != adv_labels))
-    else:
-        victim_success = 0.0
-    return BlackBoxEvaluation(
-        attack_name=attack.name,
-        n_crafted=len(x),
-        substitute_success_rate=float(fooled.mean()) if len(fooled) else 0.0,
-        victim_success_rate=victim_success,
-    )
-
-
-# ----------------------------------------------------------------- white box
-@dataclass
-class WhiteBoxEvaluation:
-    """Outcome of one white-box experiment: perturbation budget statistics."""
-
-    attack_name: str
-    victim_name: str
-    n_samples: int
-    success_rate: float
-    l2: np.ndarray
-    mse: np.ndarray
-    psnr: np.ndarray
-
-    @property
-    def mean_l2(self) -> float:
-        return float(np.mean(self.l2)) if len(self.l2) else float("nan")
-
-    @property
-    def mean_mse(self) -> float:
-        return float(np.mean(self.mse)) if len(self.mse) else float("nan")
-
-    @property
-    def mean_psnr(self) -> float:
-        return float(np.mean(self.psnr)) if len(self.psnr) else float("nan")
-
-
-def evaluate_white_box(
-    victim: Classifier,
-    attack: Attack,
-    images: np.ndarray,
-    labels: np.ndarray,
-    max_samples: Optional[int] = None,
-    victim_name: str = "victim",
-) -> WhiteBoxEvaluation:
-    """Run an attack directly against the victim and measure the noise it needs.
-
-    Only samples the victim classifies correctly are attacked (fooling an
-    already-misclassified sample requires no perturbation), and the
-    perturbation statistics are computed over the successful adversarial
-    examples, as in Figures 8-11.
+    Returns ``{"n", "n_fooled", "targets": {name: fooled on it}}``: the
+    victims, how many of their examples fool the source, and how many of
+    those fool each target too.  An empty slice returns zero counts without
+    calling the attack.
     """
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels, dtype=np.int64)
-    indices = select_correctly_classified(victim, images, labels, max_samples)
-    x = images[indices]
-    y = labels[indices]
+    counts: Dict[str, Any] = {
+        "n": int(len(x)),
+        "n_fooled": 0,
+        "targets": {name: 0 for name in targets},
+    }
+    if not len(x):
+        return counts
+    result = attack.generate(source, x, y)
+    adv = result.adversarial[result.success]
+    adv_labels = y[result.success]
+    counts["n_fooled"] = int(result.success.sum())
+    if len(adv):
+        for name, target in targets.items():
+            counts["targets"][name] = int(np.sum(target.predict(adv) != adv_labels))
+    return counts
+
+
+def transfer_rates(slices: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Sum one or more :func:`transfer` slices into success rates.
+
+    A target's rate is over the examples that fooled the source; a rate over
+    zero examples reads 0.0.
+    """
+    n = sum(s["n"] for s in slices)
+    fooled = sum(s["n_fooled"] for s in slices)
+    return {
+        "n_crafted": n,
+        "n_source_success": fooled,
+        "source_success_rate": _ratio(fooled, n),
+        "targets": {
+            name: _ratio(sum(s["targets"][name] for s in slices), fooled)
+            for name in slices[0]["targets"]
+        },
+    }
+
+
+# ------------------------------------------------------------------ white box
+def white_box(victim: Classifier, attack: Attack, x: np.ndarray, y: np.ndarray) -> Dict[str, Any]:
+    """Attack ``victim`` directly on ``(x, y)`` and measure the noise each success needed.
+
+    Returns ``{"n", "n_success", "l2", "mse", "psnr"}``, the three
+    perturbation statistics listed per successful example.  An empty slice
+    returns zero counts without calling the attack.
+    """
+    stats: Dict[str, Any] = {"n": int(len(x)), "n_success": 0, "l2": [], "mse": [], "psnr": []}
+    if not len(x):
+        return stats
     result = attack.generate(victim, x, y)
-    success = result.success
-    adv = result.adversarial[success]
-    clean = x[success]
-    return WhiteBoxEvaluation(
-        attack_name=attack.name,
-        victim_name=victim_name,
-        n_samples=len(x),
-        success_rate=float(success.mean()) if len(success) else 0.0,
-        l2=l2_distance(clean, adv) if len(adv) else np.array([]),
-        mse=mse(clean, adv) if len(adv) else np.array([]),
-        psnr=psnr(clean, adv) if len(adv) else np.array([]),
-    )
+    adv = result.adversarial[result.success]
+    clean = x[result.success]
+    stats["n_success"] = int(result.success.sum())
+    if len(adv):
+        stats["l2"] = [float(v) for v in l2_distance(clean, adv)]
+        stats["mse"] = [float(v) for v in mse(clean, adv)]
+        stats["psnr"] = [float(v) for v in psnr(clean, adv)]
+    return stats
+
+
+def white_box_budget(slices: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Sum :func:`white_box` slices into the success rate and mean perturbation budget."""
+    n = sum(s["n"] for s in slices)
+    return {
+        "n_samples": n,
+        "success_rate": _ratio(sum(s["n_success"] for s in slices), n),
+        "mean_l2": _mean([v for s in slices for v in s["l2"]]),
+        "mean_mse": _mean([v for s in slices for v in s["mse"]]),
+        "mean_psnr": _mean([v for s in slices for v in s["psnr"]]),
+    }

@@ -11,14 +11,16 @@ and the payload and resolve models/attacks through their own registries.
 Sharding
 --------
 The expensive attack-evaluation kinds (``transferability``, ``blackbox``,
-``whitebox``) are decomposed over victim examples into shards (see
+``whitebox``) run the threat-model protocols of :mod:`repro.core.evaluation`
+and are decomposed over victim examples into shards (see
 :mod:`repro.parallel.sharding`).  Each shard instantiates its own attack --
 seeded from the payload digest, with the shard's global start offset telling
 the attack which per-example ``SeedSequence`` streams its victims own -- and
-returns integer counts / per-sample statistics; :meth:`CellKind.merge` folds
-the ordered shard results into the cell value.  Because attacks advance
-whole shards as batched active-set rollouts with per-example RNG streams and
-a batch-invariant model facade, the shard size is pure execution tuning: any
+runs the protocol on its slice of victims, which returns integer counts /
+per-sample statistics; :meth:`CellKind.merge` sums the ordered shard results
+into the cell value with the protocol's fold.  Because attacks advance whole
+shards as batched active-set rollouts with per-example RNG streams and a
+batch-invariant model facade, the shard size is pure execution tuning: any
 size (``Runner(shard_size=...)`` / ``REPRO_ATTACK_SHARD_SIZE``), like any
 ``--jobs`` value, produces bit-for-bit identical cell values.
 """
@@ -36,8 +38,13 @@ from repro.arith.fpm import MULTIPLIERS
 from repro.attacks.base import Attack, Classifier
 from repro.attacks.registry import ATTACKS
 from repro.core.confidence import compare_confidence
-from repro.core.evaluation import select_correctly_classified
-from repro.core.metrics import l2_distance, mse, psnr
+from repro.core.evaluation import (
+    select_correctly_classified,
+    transfer,
+    transfer_rates,
+    white_box,
+    white_box_budget,
+)
 from repro.nn.approx import ApproxConv2d, prime_gemm_kernels
 from repro.nn.layers import Conv2d
 from repro.nn.models import VARIANTS
@@ -187,7 +194,7 @@ def zoo_surfaces(payload: Dict[str, Any], *fields: str) -> tuple:
 
 #: surfaces every attack-evaluation cell shares: the attack numerics, the
 #: model forward/backward numerics it queries, the dataset its victims come
-#: from and the selection/success accounting of the evaluation harness
+#: from and the selection/success accounting of the threat-model protocols
 _ATTACK_SURFACES = ("attacks", "datasets", "evaluation", "models")
 
 
@@ -276,14 +283,6 @@ def _attack_shards(runner, payload: Dict[str, Any]) -> int:
     return _shard_count(payload["n_samples"], runner.shard_size)
 
 
-def _ratio(numerator: int, denominator: int) -> float:
-    return numerator / denominator if denominator else 0.0
-
-
-def _mean(values: List[float]) -> float:
-    return float(np.mean(np.asarray(values, dtype=np.float64))) if values else float("nan")
-
-
 #: process-level memo of completed warm-ups.  A run's cell graph references
 #: the same few models from many cells (and sibling experiments share whole
 #: grids), so without the memo every shard re-primed the same variant models
@@ -341,42 +340,14 @@ def _transferability_shard(runner, payload: Dict[str, Any], shard_index: int) ->
     source = runner.classifier(spec, payload["source"])
     selector = ("source", payload["source"], payload.get("dq_zoo"))
     x, y, offset = _shard_samples(runner, payload, source, shard_index, selector)
-    out: Dict[str, Any] = {
-        "n": int(len(x)),
-        "n_fooled": 0,
-        "targets": {name: 0 for name in payload["targets"]},
-    }
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(source, x, y)
-    adv = result.adversarial[result.success]
-    adv_labels = y[result.success]
-    out["n_fooled"] = int(result.success.sum())
-    if len(adv):
-        for name in payload["targets"]:
-            preds = runner.classifier(spec, name).predict(adv)
-            out["targets"][name] = int(np.sum(preds != adv_labels))
-    return out
-
-
-def _transferability_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:
-    n = sum(s["n"] for s in shards)
-    fooled = sum(s["n_fooled"] for s in shards)
-    return {
-        "n_crafted": n,
-        "n_source_success": fooled,
-        "source_success_rate": _ratio(fooled, n),
-        "targets": {
-            name: _ratio(sum(s["targets"][name] for s in shards), fooled)
-            for name in payload["targets"]
-        },
-    }
+    targets = {name: runner.classifier(spec, name) for name in payload["targets"]}
+    return transfer(source, targets, _seeded_attack(payload, offset), x, y)
 
 
 register_cell_kind(
     "transferability",
     shard=_transferability_shard,
-    merge=_transferability_merge,
+    merge=lambda _payload, shards: transfer_rates(shards),
     shards=_attack_shards,
     warm=lambda runner, payload: _warm_model(runner, payload, list(payload["targets"])),
     # adversarial examples are crafted on the source variant and replayed on
@@ -394,27 +365,16 @@ def _blackbox_shard(runner, payload: Dict[str, Any], shard_index: int) -> Dict[s
     substitute = Classifier(runner.zoo(payload["substitute"], victim=payload["victim"]))
     selector = ("substitute", payload["substitute"], payload["victim"])
     x, y, offset = _shard_samples(runner, payload, substitute, shard_index, selector)
-    out = {"n": int(len(x)), "n_fooled": 0, "n_victim_fooled": 0}
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(substitute, x, y)
-    adv = result.adversarial[result.success]
-    adv_labels = y[result.success]
-    out["n_fooled"] = int(result.success.sum())
-    if len(adv):
-        victim = runner.classifier(spec, payload["victim"])
-        out["n_victim_fooled"] = int(np.sum(victim.predict(adv) != adv_labels))
-    return out
+    victim = {"victim": runner.classifier(spec, payload["victim"])}
+    return transfer(substitute, victim, _seeded_attack(payload, offset), x, y)
 
 
 def _blackbox_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:
-    n = sum(s["n"] for s in shards)
-    fooled = sum(s["n_fooled"] for s in shards)
-    victim_fooled = sum(s["n_victim_fooled"] for s in shards)
+    rates = transfer_rates(shards)
     return {
-        "n_crafted": n,
-        "substitute_success_rate": _ratio(fooled, n),
-        "victim_success_rate": _ratio(victim_fooled, fooled),
+        "n_crafted": rates["n_crafted"],
+        "substitute_success_rate": rates["source_success_rate"],
+        "victim_success_rate": rates["targets"]["victim"],
     }
 
 
@@ -439,36 +399,13 @@ def _whitebox_shard(runner, payload: Dict[str, Any], shard_index: int) -> Dict[s
     victim = runner.classifier(spec, payload["victim"])
     selector = ("victim", payload["victim"], payload.get("dq_zoo"))
     x, y, offset = _shard_samples(runner, payload, victim, shard_index, selector)
-    out: Dict[str, Any] = {"n": int(len(x)), "n_success": 0, "l2": [], "mse": [], "psnr": []}
-    if not len(x):
-        return out
-    result = _seeded_attack(payload, offset).generate(victim, x, y)
-    adv = result.adversarial[result.success]
-    clean = x[result.success]
-    out["n_success"] = int(result.success.sum())
-    if len(adv):
-        out["l2"] = [float(v) for v in l2_distance(clean, adv)]
-        out["mse"] = [float(v) for v in mse(clean, adv)]
-        out["psnr"] = [float(v) for v in psnr(clean, adv)]
-    return out
-
-
-def _whitebox_merge(payload: Dict[str, Any], shards: List[Dict[str, Any]]) -> Dict[str, Any]:
-    n = sum(s["n"] for s in shards)
-    successes = sum(s["n_success"] for s in shards)
-    return {
-        "n_samples": n,
-        "success_rate": _ratio(successes, n),
-        "mean_l2": _mean([v for s in shards for v in s["l2"]]),
-        "mean_mse": _mean([v for s in shards for v in s["mse"]]),
-        "mean_psnr": _mean([v for s in shards for v in s["psnr"]]),
-    }
+    return white_box(victim, _seeded_attack(payload, offset), x, y)
 
 
 register_cell_kind(
     "whitebox",
     shard=_whitebox_shard,
-    merge=_whitebox_merge,
+    merge=lambda _payload, shards: white_box_budget(shards),
     shards=_attack_shards,
     warm=lambda runner, payload: _warm_model(runner, payload, [payload["victim"]]),
     deps=lambda p: _ATTACK_SURFACES

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.attacks.base import Attack, Classifier
-from repro.attacks.registry import ATTACKS
+from repro.attacks.base import Classifier
 from repro.core.results import format_table
 from repro.experiments.zoo import CACHE_DIR, ZOO
 from repro.faults import RunManifest
@@ -586,10 +585,6 @@ class Runner:
                 if key in params:
                     params[key] = max(floor, int(params[key]) // 4)
         return params
-
-    def attack(self, entry: AttackGridEntry) -> Attack:
-        """Instantiate one attack-grid entry through the attack registry."""
-        return ATTACKS.create(entry.attack, **self.attack_params(entry))
 
     def sample_budget(self, spec: ExperimentSpec) -> int:
         """Attack sample budget, shrunk by fast mode."""

@@ -1,4 +1,4 @@
-"""Tests for the DA defense wrapper, confidence analysis and threat-model harnesses."""
+"""Tests for the DA defense wrapper, confidence analysis and threat-model protocols."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,11 @@ from repro.attacks.base import Classifier
 from repro.core.confidence import classification_confidence, compare_confidence
 from repro.core.defense import DefensiveApproximation
 from repro.core.evaluation import (
-    evaluate_black_box,
-    evaluate_transferability,
-    evaluate_white_box,
     select_correctly_classified,
+    transfer,
+    transfer_rates,
+    white_box,
+    white_box_budget,
 )
 from repro.core.results import format_percentage, format_table
 from repro.core.substitute import train_substitute
@@ -80,74 +81,104 @@ def test_select_correctly_classified(tiny_classifier, digit_split):
     np.testing.assert_array_equal(preds, digit_split.test.labels[:50][indices])
 
 
+def _victims(classifier, split, max_samples):
+    """The first ``max_samples`` test samples ``classifier`` labels correctly."""
+    indices = select_correctly_classified(
+        classifier, split.test.images, split.test.labels, max_samples
+    )
+    return split.test.images[indices], split.test.labels[indices]
+
+
+class _Unreachable:
+    """An attack that fails the test if anything calls it."""
+
+    name = "unreachable"
+
+    def generate(self, *_args):
+        raise AssertionError("the attack ran on an empty slice")
+
+
 def test_transferability_da_blunts_fgsm(tiny_model, tiny_approx_model, digit_split):
     """The core claim (Tables 2/3): attacks crafted on the exact model transfer
     poorly to the DA model."""
     source = Classifier(tiny_model)
     targets = {"exact": Classifier(tiny_model), "approximate": Classifier(tiny_approx_model)}
-    evaluation = evaluate_transferability(
-        source,
-        targets,
-        FGSM(epsilon=0.2),
-        digit_split.test.images,
-        digit_split.test.labels,
-        max_samples=12,
-    )
-    assert evaluation.source_success_rate > 0.4
+    x, y = _victims(source, digit_split, 12)
+    rates = transfer_rates([transfer(source, targets, FGSM(epsilon=0.2), x, y)])
+    assert rates["n_crafted"] == 12
+    assert rates["source_success_rate"] > 0.4
     # replaying against the source itself succeeds by construction
-    assert evaluation.target_success_rates["exact"] == pytest.approx(1.0)
-    assert (
-        evaluation.target_success_rates["approximate"]
-        <= evaluation.target_success_rates["exact"]
-    )
-    assert evaluation.target_robustness["approximate"] == pytest.approx(
-        1.0 - evaluation.target_success_rates["approximate"]
-    )
-
-
-def test_transferability_summary_row_format(tiny_model, tiny_approx_model, digit_split):
-    source = Classifier(tiny_model)
-    targets = {"da": Classifier(tiny_approx_model)}
-    evaluation = evaluate_transferability(
-        source, targets, FGSM(epsilon=0.2), digit_split.test.images, digit_split.test.labels,
-        max_samples=6,
-    )
-    row = evaluation.summary_row(["da"])
-    assert row[0] == "fgsm"
-    assert row[1].endswith("%")
+    assert rates["targets"]["exact"] == pytest.approx(1.0)
+    assert rates["targets"]["approximate"] <= rates["targets"]["exact"]
 
 
 def test_black_box_evaluation(tiny_model, tiny_approx_model, digit_split):
     victim = Classifier(tiny_approx_model)
     substitute = Classifier(tiny_model)  # stand-in substitute: the exact twin
-    evaluation = evaluate_black_box(
-        victim,
-        substitute,
-        FGSM(epsilon=0.2),
-        digit_split.test.images,
-        digit_split.test.labels,
-        max_samples=10,
-    )
-    assert 0.0 <= evaluation.substitute_success_rate <= 1.0
-    assert 0.0 <= evaluation.victim_success_rate <= 1.0
-    assert evaluation.victim_robustness == pytest.approx(1.0 - evaluation.victim_success_rate)
+    x, y = _victims(substitute, digit_split, 10)
+    counts = transfer(substitute, {"victim": victim}, FGSM(epsilon=0.2), x, y)
+    assert counts["n"] == 10
+    assert 0 <= counts["targets"]["victim"] <= counts["n_fooled"] <= counts["n"]
+    rates = transfer_rates([counts])
+    assert 0.0 <= rates["source_success_rate"] <= 1.0
+    assert 0.0 <= rates["targets"]["victim"] <= 1.0
 
 
 def test_white_box_evaluation_reports_perturbation_stats(tiny_classifier, digit_split):
-    evaluation = evaluate_white_box(
-        tiny_classifier,
-        PGD(epsilon=0.2, steps=10),
-        digit_split.test.images,
-        digit_split.test.labels,
-        max_samples=8,
-        victim_name="exact",
+    x, y = _victims(tiny_classifier, digit_split, 8)
+    stats = white_box(tiny_classifier, PGD(epsilon=0.2, steps=10), x, y)
+    assert len(stats["l2"]) == len(stats["mse"]) == len(stats["psnr"]) == stats["n_success"]
+    budget = white_box_budget([stats])
+    assert budget["n_samples"] <= 8
+    if budget["success_rate"] > 0:
+        assert budget["mean_l2"] > 0
+        assert budget["mean_psnr"] > 0
+        assert budget["mean_mse"] > 0
+
+
+def test_protocols_skip_the_attack_on_an_empty_slice(tiny_classifier, digit_split):
+    x = digit_split.test.images[:0]
+    y = digit_split.test.labels[:0]
+    counts = transfer(tiny_classifier, {"da": tiny_classifier}, _Unreachable(), x, y)
+    assert counts == {"n": 0, "n_fooled": 0, "targets": {"da": 0}}
+    stats = white_box(tiny_classifier, _Unreachable(), x, y)
+    assert stats == {"n": 0, "n_success": 0, "l2": [], "mse": [], "psnr": []}
+    # a rate over zero examples reads 0.0, a mean over none NaN
+    assert transfer_rates([counts]) == {
+        "n_crafted": 0,
+        "n_source_success": 0,
+        "source_success_rate": 0.0,
+        "targets": {"da": 0.0},
+    }
+    budget = white_box_budget([stats])
+    assert budget["success_rate"] == 0.0 and np.isnan(budget["mean_l2"])
+
+
+def test_folds_sum_slices():
+    slices = [
+        {"n": 4, "n_fooled": 3, "targets": {"exact": 3, "da": 1}},
+        {"n": 2, "n_fooled": 1, "targets": {"exact": 1, "da": 1}},
+    ]
+    rates = transfer_rates(slices)
+    assert rates == {
+        "n_crafted": 6,
+        "n_source_success": 4,
+        "source_success_rate": 4 / 6,
+        "targets": {"exact": 1.0, "da": 0.5},
+    }
+    budget = white_box_budget(
+        [
+            {"n": 2, "n_success": 1, "l2": [1.0], "mse": [0.5], "psnr": [20.0]},
+            {"n": 2, "n_success": 2, "l2": [2.0, 3.0], "mse": [0.5, 0.5], "psnr": [30.0, 40.0]},
+        ]
     )
-    assert evaluation.victim_name == "exact"
-    assert evaluation.n_samples <= 8
-    if evaluation.success_rate > 0:
-        assert evaluation.mean_l2 > 0
-        assert evaluation.mean_psnr > 0
-        assert evaluation.mean_mse > 0
+    assert budget == {
+        "n_samples": 4,
+        "success_rate": 0.75,
+        "mean_l2": 2.0,
+        "mean_mse": 0.5,
+        "mean_psnr": 30.0,
+    }
 
 
 def test_substitute_training_learns_victim_behaviour(tiny_model, digit_split):

@@ -12,8 +12,10 @@ import multiprocessing
 import pickle
 import shutil
 import threading
+import re
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ import repro.parallel.engine as engine
 from repro.arith.fpm import AxFPM
 from repro.arith.kernels import FusedLutGemmKernel
 from repro.cli import main
-from repro.experiments.zoo import ZOO
+from repro.experiments.zoo import ZOO, zoo_units
 from repro.faults import (
     FAULT_POINTS,
     FAULT_STATS,
@@ -39,7 +41,14 @@ from repro.faults import (
 )
 from repro.nn import native
 from repro.parallel.engine import CellExecutionError
-from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, CellKind, ExperimentSpec, Runner
+from repro.parallel.plan import build_plan
+from repro.pipeline import (
+    NONDETERMINISTIC_RESULT_FIELDS,
+    CellKind,
+    ExperimentSpec,
+    Runner,
+    get_experiment,
+)
 from repro.pipeline.runner import clear_model_caches
 from repro.service.jobs import JobQueue
 from repro.store import ArtifactStore
@@ -304,6 +313,57 @@ def test_hung_shards_time_out_and_results_survive(tmp_path, monkeypatch):
     assert faults["pool_respawns"] == 3
     assert faults["degraded_serial"] == 1
     assert deterministic_json(chaos) == deterministic_json(clean)
+
+
+def test_ci_chaos_seeds_fire_but_never_degrade(tmp_path):
+    """CI's chaos-smoke legs must fire faults without exhausting the pool.
+
+    Their coins are pure functions of the table04 fast plan's cell digests
+    and zoo unit names, so a change that moves a digest can turn a leg into
+    a serial run (past ``POOL_RESPAWN_LIMIT`` pool deaths) or a clean one;
+    re-pick the seeds then.  The legs run ``--jobs 2`` with
+    ``REPRO_SHARD_RETRIES=3``: attempts 0-3 of every shard draw a coin.
+    """
+    workflow = (Path(__file__).resolve().parent.parent / ".github/workflows/ci.yml").read_text()
+    armed = re.findall(r'REPRO_FAULTS="([^"]*worker\.crash[^"]*)"', workflow)
+    legs = [parse_fault_specs(text) for text in armed]
+    assert len(legs) == 2, legs
+    chaos = next(leg for leg in legs if "shard.hang" in leg)
+    cold_zoo = next(leg for leg in legs if "shard.hang" not in leg)
+    spec = get_experiment("table04_blackbox_mnist")
+    tasks = list(build_plan(Runner(fast=True, cache_dir=tmp_path), [spec]).tasks.values())
+
+    def firing(coin):
+        """``(dispatch position, shard, attempt)`` of every shard site ``coin`` fires at."""
+        return [
+            (position, shard, attempt)
+            for position, task in enumerate(tasks)
+            for shard in range(task.n_shards)
+            for attempt in range(4)
+            if FaultInjector._decide(coin, f"{task.digest}:{shard}:{attempt}")
+        ]
+
+    # one crash and one hang, each at a first attempt: two pool deaths.  The
+    # hung shard is dispatched after the crashed one and never beside it, so
+    # the crash cannot fail it before its deadline
+    (crash,) = firing(chaos["worker.crash"])
+    (hang,) = firing(chaos["shard.hang"])
+    assert crash[2] == hang[2] == 0
+    assert hang[0] >= crash[0] + 2
+    # the cold-zoo leg crashes under one substitute unit, after the LeNet
+    # they both wait for has published from the pool, and at no shard
+    substitutes = [
+        unit
+        for victim in ("exact", "da")
+        for unit in zoo_units("substitute_digits", fast=True, victim=victim)
+    ]
+    units = {unit.name for unit in substitutes}
+    units |= {dep.name for unit in substitutes for dep in unit.after}
+    assert len(units) == 3, units
+    zoo_crash = cold_zoo["worker.crash"]
+    crashed = [name for name in units if FaultInjector._decide(zoo_crash, f"zoo:{name}")]
+    assert len(crashed) == 1 and crashed[0].startswith("substitute_"), crashed
+    assert not firing(zoo_crash)
 
 
 @needs_fork

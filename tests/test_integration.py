@@ -13,7 +13,13 @@ from repro.arith.fpm import HEAPMultiplier
 from repro.attacks import FGSM, PGD, DeepFool
 from repro.attacks.base import Classifier
 from repro.core.defense import DefensiveApproximation
-from repro.core.evaluation import evaluate_transferability, evaluate_white_box
+from repro.core.evaluation import (
+    select_correctly_classified,
+    transfer,
+    transfer_rates,
+    white_box,
+    white_box_budget,
+)
 from repro.nn import evaluate_accuracy
 from repro.nn.models import convert_to_approximate
 
@@ -25,16 +31,17 @@ def test_full_pipeline_transferability(tiny_model, tiny_approx_model, digit_spli
         "exact": Classifier(tiny_model),
         "da": defense.defended_classifier(),
     }
-    images = digit_split.test.images
-    labels = digit_split.test.labels
+    victims = select_correctly_classified(
+        source, digit_split.test.images, digit_split.test.labels, max_samples=12
+    )
+    images = digit_split.test.images[victims]
+    labels = digit_split.test.labels[victims]
 
     total_da_success = []
     for attack in (FGSM(epsilon=0.1), DeepFool(max_iterations=25)):
-        evaluation = evaluate_transferability(
-            source, targets, attack, images, labels, max_samples=12
-        )
-        assert evaluation.target_success_rates["exact"] == pytest.approx(1.0)
-        total_da_success.append(evaluation.target_success_rates["da"])
+        rates = transfer_rates([transfer(source, targets, attack, images, labels)])
+        assert rates["targets"]["exact"] == pytest.approx(1.0)
+        total_da_success.append(rates["targets"]["da"])
     # on average across attacks the DA model resists a meaningful share of the
     # adversarial examples that fully fool the exact model
     assert np.mean(total_da_success) < 0.95
@@ -52,26 +59,24 @@ def test_da_accuracy_and_confidence_shape(tiny_model, tiny_approx_model, digit_s
 
 def test_white_box_needs_more_noise_on_da(tiny_model, tiny_approx_model, digit_split):
     """Figures 8-11: DeepFool needs a larger perturbation to fool the DA model."""
-    exact_eval = evaluate_white_box(
-        Classifier(tiny_model),
-        DeepFool(max_iterations=25),
-        digit_split.test.images,
-        digit_split.test.labels,
-        max_samples=5,
-        victim_name="exact",
-    )
-    da_eval = evaluate_white_box(
-        Classifier(tiny_approx_model),
-        DeepFool(max_iterations=25),
-        digit_split.test.images,
-        digit_split.test.labels,
-        max_samples=5,
-        victim_name="da",
-    )
+    budgets = {}
+    for name, model in (("exact", tiny_model), ("da", tiny_approx_model)):
+        victim = Classifier(model)
+        victims = select_correctly_classified(
+            victim, digit_split.test.images, digit_split.test.labels, max_samples=5
+        )
+        stats = white_box(
+            victim,
+            DeepFool(max_iterations=25),
+            digit_split.test.images[victims],
+            digit_split.test.labels[victims],
+        )
+        budgets[name] = white_box_budget([stats])
+    exact_eval, da_eval = budgets["exact"], budgets["da"]
     # both should mostly succeed (white-box attacks always can), but the noise
     # budget on DA should not be smaller than on the exact classifier
-    if exact_eval.success_rate > 0 and da_eval.success_rate > 0:
-        assert da_eval.mean_l2 >= 0.5 * exact_eval.mean_l2
+    if exact_eval["success_rate"] > 0 and da_eval["success_rate"] > 0:
+        assert da_eval["mean_l2"] >= 0.5 * exact_eval["mean_l2"]
 
 
 def test_heap_based_defense_also_works(tiny_model, digit_split):

@@ -8,6 +8,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.attacks.base import Classifier
+from repro.core.evaluation import (
+    select_correctly_classified,
+    transfer,
+    transfer_rates,
+    white_box,
+    white_box_budget,
+)
 from repro.experiments.zoo import ZOO
 from repro.parallel.locks import FileLock, LockUnavailable, atomic_write_json, atomic_write_text
 from repro.parallel.sharding import (
@@ -24,6 +32,7 @@ from repro.pipeline import (
     Runner,
     get_cell_kind,
 )
+from repro.pipeline.cells import _seeded_attack
 
 #: cheap catalog experiments: no zoo model, no attack -- safe on a cold cache
 CHEAP_EXPERIMENTS = ["fig04_approx_convolution", "table07_energy_delay"]
@@ -205,26 +214,79 @@ def test_sharded_cell_merge_is_order_independent(tmp_path, tiny_zoo_entry):
     assert forward[0] != forward[1]
 
 
-def test_cell_values_invariant_to_shard_size(tmp_path, tiny_zoo_entry):
-    """The shard size is execution tuning: every layout merges identically."""
-    payload = {
+@pytest.fixture()
+def attack_payloads(tiny_zoo_entry, tiny_model):
+    """One payload per attack cell kind over the tiny zoo entry.
+
+    The black-box substitute is a zoo entry serving the tiny exact model, a
+    stand-in for one distilled from the victim's query labels.
+    """
+    substitute = "parallel_test_substitute"
+    ZOO.register(substitute, lambda fast=False, victim="da": tiny_model, overwrite=True)
+    # a weak PGD: about half the victims fool the crafting model, so the
+    # rates the folds compute are not all 0 or 1
+    attack = {
         "model": tiny_zoo_entry,
         "attack": "pgd",
-        "params": {"epsilon": 0.1, "steps": 5},
+        "params": {"epsilon": 0.03, "steps": 5},
         "n_samples": 6,
-        "victim": "exact",
     }
-    kind = get_cell_kind("whitebox")
-    values = []
-    for shard_size in (1, 2, 3, 6):
-        runner = make_runner(tmp_path, f"shards{shard_size}", jobs=1, shard_size=shard_size)
-        assert kind.n_shards(runner, payload) == -(-6 // shard_size)
-        shards = [
-            kind.compute_shard(runner, payload, i)
-            for i in range(kind.n_shards(runner, payload))
-        ]
-        values.append(json.dumps(kind.merge(payload, shards), sort_keys=True))
-    assert len(set(values)) == 1
+    yield {
+        "transferability": {**attack, "source": "exact", "targets": ["exact", "da"]},
+        "blackbox": {**attack, "victim": "da", "substitute": substitute},
+        "whitebox": {**attack, "victim": "exact"},
+    }
+    ZOO.unregister(substitute)
+
+
+def merged_cell(runner, kind_name, payload):
+    kind = get_cell_kind(kind_name)
+    shards = [kind.compute_shard(runner, payload, i) for i in range(kind.n_shards(runner, payload))]
+    return kind.merge(payload, shards)
+
+
+def test_cell_values_invariant_to_shard_size(tmp_path, attack_payloads):
+    """The shard size is execution tuning: every layout merges identically."""
+    for kind_name, payload in attack_payloads.items():
+        values = []
+        for shard_size in (1, 2, 3, 6):
+            runner = make_runner(tmp_path, f"shards{shard_size}", jobs=1, shard_size=shard_size)
+            assert get_cell_kind(kind_name).n_shards(runner, payload) == -(-6 // shard_size)
+            values.append(json.dumps(merged_cell(runner, kind_name, payload), sort_keys=True))
+        assert len(set(values)) == 1, kind_name
+
+
+@pytest.mark.parametrize("kind_name", ["transferability", "blackbox", "whitebox"])
+def test_protocol_over_one_slice_equals_the_sharded_cell(tmp_path, attack_payloads, kind_name):
+    """A script's one call over the whole victim selection, folded, is the cell value."""
+    payload = attack_payloads[kind_name]
+    runner = make_runner(tmp_path, jobs=1, shard_size=2)
+    spec = ExperimentSpec(name="protocol", kind="cell", model=payload["model"])
+    split = runner.split(spec)
+    if kind_name == "blackbox":
+        crafter = Classifier(runner.zoo(payload["substitute"], victim=payload["victim"]))
+    else:
+        crafter = runner.classifier(spec, payload.get("source", payload.get("victim")))
+    victims = select_correctly_classified(
+        crafter, split.test.images, split.test.labels, payload["n_samples"]
+    )
+    x, y = split.test.images[victims], split.test.labels[victims]
+    attack = _seeded_attack(payload, 0)
+    if kind_name == "transferability":
+        targets = {name: runner.classifier(spec, name) for name in payload["targets"]}
+        want = transfer_rates([transfer(crafter, targets, attack, x, y)])
+    elif kind_name == "blackbox":
+        victim = runner.classifier(spec, payload["victim"])
+        rates = transfer_rates([transfer(crafter, {"victim": victim}, attack, x, y)])
+        want = {
+            "n_crafted": rates["n_crafted"],
+            "substitute_success_rate": rates["source_success_rate"],
+            "victim_success_rate": rates["targets"]["victim"],
+        }
+    else:
+        want = white_box_budget([white_box(crafter, attack, x, y)])
+    assert get_cell_kind(kind_name).n_shards(runner, payload) == 3
+    assert merged_cell(runner, kind_name, payload) == want
 
 
 def test_whole_experiment_invariant_to_shard_size(tmp_path, tiny_zoo_entry):

@@ -12,6 +12,8 @@ from repro.pipeline import (
     list_experiments,
 )
 from repro.pipeline.catalog import DIGIT_ATTACKS
+from repro.pipeline.cells import _seeded_attack
+from repro.pipeline.handlers import _attack_payload
 from repro.pipeline.spec import AttackGridEntry, canonical_digest
 
 
@@ -103,10 +105,15 @@ def test_fast_mode_scales_attack_params_and_budgets():
 
 
 def test_attack_grid_entries_resolve_through_attack_registry():
-    runner = Runner()
-    for entry in DIGIT_ATTACKS:
-        attack = runner.attack(entry)
-        assert attack.name  # instantiated Attack subclass
+    # the path the attack cells take: the handlers' planned payload, then
+    # the shard's seeded instantiation through the attack registry
+    spec = get_experiment("table02_transferability_mnist")
+    for fast in (False, True):
+        runner = Runner(fast=fast)
+        for entry in DIGIT_ATTACKS:
+            attack = _seeded_attack(_attack_payload(runner, spec, entry), victim_offset=3)
+            assert attack.name  # instantiated Attack subclass
+            assert attack.seed_offset == 3
 
 
 def test_unknown_experiment_raises_keyerror():
