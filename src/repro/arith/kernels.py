@@ -267,8 +267,8 @@ class FusedLutGemmKernel(GemmKernel):
         super().__init__(multiplier)
         # chaos point: a kernel whose table build dies (OOM, bad codegen in a
         # real accelerator stack) raises here once per process -- the
-        # engine's in-process retry recovers it, in the warm-up or in a
-        # shard (the injector's once-per-key guard lets the retry through)
+        # engine's shard retry recovers it, in the shard's warm-up or its
+        # compute (the injector's once-per-key guard lets the retry through)
         from repro.faults import FAULTS
         from repro.nn import native
 

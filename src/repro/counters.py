@@ -4,12 +4,12 @@ The GEMM kernel engine (:data:`repro.arith.kernels.KERNEL_STATS`), the
 attack query tracker (:data:`repro.attacks.base.QUERY_STATS`) and the
 artifact store (:data:`repro.store.STORE_STATS`) expose the same counter
 contract: a fixed field tuple, monotonic within a process, consumed via
-snapshot/delta pairs by the run telemetry.  Pool workers keep their own
-instances, but each worker shard returns its deltas to the parent, which
-folds them into :class:`~repro.parallel.telemetry.RunTelemetry` -- so a
-parallel run's telemetry reflects the whole run, not just the planning
-process.  Counters are advisory only; every determinism guarantee excludes
-them.
+snapshot/delta pairs.  Each shard and zoo unit the engine runs reports its
+own kernel and query deltas, wherever it ran (a pool worker keeps its own
+instances), and :class:`~repro.parallel.telemetry.RunTelemetry` sums the
+reports -- so a run's telemetry counts the run's own work, wherever it ran
+and whatever else its process did meanwhile.  Counters are advisory only;
+every determinism guarantee excludes them.
 """
 
 from __future__ import annotations

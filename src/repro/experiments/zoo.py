@@ -215,6 +215,16 @@ _SPLITS: Dict[Tuple[str, float, bool], DataSplit] = {}
 _SPLITS_LOCK = threading.Lock()
 
 
+def _fresh_splits_lock() -> None:
+    # a child forked while another thread holds the lock would inherit it held
+    global _SPLITS_LOCK
+    _SPLITS_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_splits_lock)
+
+
 def split_cache_path(name: str, config: Dict[str, Any], test_fraction: float, fast: bool) -> Path:
     """Where one dataset split is cached, tagged with everything its arrays depend on."""
     import repro.datasets as datasets

@@ -17,7 +17,7 @@ retries converge: the first attempt of an unlucky shard dies
 deterministically, its retry draws a fresh coin.
 
 In-process points additionally fire **at most once per key**: a retried
-computation inside the same process (the engine's in-process retry, an HTTP
+computation inside the same process (the engine's shard retry, an HTTP
 client's second request) succeeds instead of looping on the same
 deterministic coin.  Process-killing points (``worker.crash``) don't need
 the guard -- the process that fired is gone.

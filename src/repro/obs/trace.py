@@ -122,7 +122,7 @@ class Tracer:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._fresh_lock()
         self._configured = False
         self._enabled = False
         self._base_dir: Optional[Path] = None
@@ -130,6 +130,11 @@ class Tracer:
         self._file = None
         self._file_pid: Optional[int] = None
         self._counter = 0
+
+    def _fresh_lock(self) -> None:
+        # also run in every forked child: a fork while another thread holds
+        # the lock would leave the child's copy held for good
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- config
     def _ensure_configured(self) -> None:
@@ -338,3 +343,5 @@ def _remove_dir(directory: Path) -> None:
 
 #: the process-global tracer every instrumented call site imports
 TRACER = Tracer()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=TRACER._fresh_lock)

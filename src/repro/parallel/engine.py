@@ -6,9 +6,11 @@ its cells need that are not published yet
 shard subtasks of every planned cell task that missed the cache (see
 :mod:`repro.parallel.plan`).  With ``jobs > 1`` they run on one
 ``ProcessPoolExecutor`` of ``jobs`` workers; with ``jobs == 1`` nothing
-forks and the parent runs the same schedule in-process.  The parent keeps
-at most ``jobs`` tasks in flight, so it always chooses what a free worker
-takes next (:class:`_ReadyQueue`):
+forks and the parent runs them itself, through a stand-in whose ``submit``
+runs the call and returns it finished (:class:`_InProcess`): one dispatch,
+one completion handler and one retry, wherever a task runs.  The parent
+keeps at most ``jobs`` tasks in flight, so it always chooses what a free
+worker takes next (:class:`_ReadyQueue`):
 
 1. a unit another unit waits for (a LeNet before its substitutes);
 2. a shard of a cell whose experiment can now complete: every unit the
@@ -22,7 +24,10 @@ each cell's ordered shard results, writes the artifact atomically and
 streams a progress event.  Because shard decomposition and per-shard RNG
 seeding are pure functions of cell content (:mod:`repro.parallel.sharding`),
 every ``jobs`` value produces bit-for-bit the same values, and a unit trained
-on the pool is byte-identical to one trained in-process.
+on the pool is byte-identical to one trained in-process.  Each shard and
+unit reports its own kernel and attack-query counter deltas, wherever it
+ran, and the run telemetry sums the reports
+(:meth:`~repro.parallel.telemetry.RunTelemetry.fold_worker`).
 
 A worker warms what a shard needs on first use (:meth:`CellKind.warm`,
 memoised per process): it loads the zoo models, resolves the hardware
@@ -41,24 +46,24 @@ collected from the cache once the foreign writer publishes it, instead of
 being recomputed.  A cell is dispatched only once every unit it needs has
 published, so no lease is ever held while a unit the cell needs trains: a
 lease's TTL bounds shard compute, never a cold zoo's training.  A foreign
-writer that crashes mid-cell loses its lease and the cell is computed here
--- a wedged cache cannot outlive its writer.
+writer that crashes mid-cell loses its lease, and the cell runs here on the
+same schedule under the lease it inherited -- a wedged cache cannot outlive
+its writer.
 
-Fault tolerance (see ``docs/faults.md``): every in-process step -- each
-shard at ``jobs == 1``, the shards of a degraded pool and of a taken-over
-cell, a unit trained in the parent -- runs under one bounded retry
+Fault tolerance (see ``docs/faults.md``): a shard that fails, wherever it
+runs, and a unit that fails in the parent get one bounded retry
 (``REPRO_SHARD_RETRIES`` attempts after the first, with exponential
-backoff).  Pool shards run under the same budget plus an optional
-wall-clock deadline (``REPRO_SHARD_TIMEOUT``); units carry no deadline.  A
-worker that dies (segfault, OOM kill, injected ``worker.crash``) breaks the
-pool -- the engine respawns it and resubmits the lost shards with
-exponential backoff; a worker that wedges (injected ``shard.hang``, a stuck
-syscall) blows its shard's deadline, and since a running future cannot be
-cancelled the pool is killed outright and rebuilt.  A unit still in flight
-on a pool killed or rebuilt that way is resubmitted.  A unit the pool fails
-to publish -- its training raised, or its worker died (``worker.crash`` at
-key ``zoo:<unit>``; a death fails every task in flight, so the engine
-cannot tell the guilty unit from a bystander) -- is trained by the parent
+backoff).  Pool shards also carry an optional wall-clock deadline
+(``REPRO_SHARD_TIMEOUT``); units and in-process runs carry none, and fault
+points fire only in pool workers.  A worker that dies (segfault, OOM kill,
+injected ``worker.crash``) breaks the pool and fails every task in flight,
+so the engine cannot tell the guilty task from a bystander: it respawns the
+pool and retries every shard the death took down.  A worker that wedges
+(injected ``shard.hang``, a stuck syscall) blows its shard's deadline, and
+since a running future cannot be cancelled the pool is killed outright and
+rebuilt; the tasks in flight beside it rerun at their current attempt.  A
+unit the pool fails to publish -- its training raised, or its worker died
+(``worker.crash`` at key ``zoo:<unit>``) -- is trained by the parent
 instead, with the same bits, and so is every unit that waits for it; each
 counts in ``faults["zoo_fallbacks"]``.  After
 :data:`~repro.faults.policy.POOL_RESPAWN_LIMIT` rebuilds the engine stops
@@ -133,23 +138,68 @@ class CellExecutionError(RuntimeError):
         self.owner = owner
 
 
-def _exhausted(
-    task: CellTask,
-    step: str,
-    cause: str,
-    attempts: int,
-    exc: Optional[BaseException],
-    shard: Optional[int] = None,
-) -> CellExecutionError:
-    """The error for a shard or zoo unit (``step``) of ``task`` out of retries."""
-    return CellExecutionError(
-        f"{task.kind} cell {task.digest[:10]} {step} (owner {task.owner}) {cause} "
-        f"after {attempts} attempt(s)" + (f": {exc}" if exc is not None else ""),
-        kind=task.kind,
-        digest=task.digest,
-        shard=shard,
-        owner=task.owner,
-    )
+# ------------------------------------------------------- one body per task
+def _shard(
+    runner, kind_name: str, payload: Dict[str, Any], index: int, digest: str
+) -> Tuple[Any, float, Dict[str, Any]]:
+    """Warm what the shard needs, then compute it; returns ``(value, seconds, report)``.
+
+    ``report`` carries the shard's kernel and attack-query counter deltas,
+    which the parent folds into :class:`RunTelemetry` wherever it ran.
+    """
+    kernels, queries = KERNEL_STATS.snapshot(), QUERY_STATS.snapshot()
+    kind = get_cell_kind(kind_name)
+    start = perf_counter()
+    with TRACER.span(
+        "shard", cat="engine", kind=kind_name, digest=digest[:DIGEST_WIDTH], shard=index
+    ):
+        kind.warm(runner, payload)
+        value = kind.compute_shard(runner, payload, index)
+    report = {"kernels": KERNEL_STATS.delta(kernels), "queries": QUERY_STATS.delta(queries)}
+    return value, perf_counter() - start, report
+
+
+def _train(unit: TrainingUnit) -> Dict[str, Any]:
+    """Train (or, if published meanwhile, load) one zoo unit; returns its report.
+
+    The report names the unit, its training seconds (``None`` if it was only
+    loaded) and its kernel-counter delta (a DA-victim substitute calls the
+    approximate kernels while it trains).  Only the unit's own entries of
+    :data:`TRAINED_UNITS` count, so a unit another thread trains meanwhile
+    cannot leak in.  Training takes no :data:`_SHARD_LOCK`, so kernel calls
+    another thread's shards make while a unit trains in the parent count in
+    both reports.
+    """
+    trained = len(TRAINED_UNITS)
+    kernels = KERNEL_STATS.snapshot()
+    unit.resolve()
+    seconds = [s for name, s in TRAINED_UNITS[trained:] if name == unit.name]
+    return {
+        "unit": unit.name,
+        "unit_s": sum(seconds) if seconds else None,
+        "kernels": KERNEL_STATS.delta(kernels),
+    }
+
+
+def _locked_shard(
+    runner, kind_name: str, payload: Dict[str, Any], index: int, digest: str
+) -> Tuple[Any, float, Dict[str, Any]]:
+    """:func:`_shard` in the parent, under :data:`_SHARD_LOCK`."""
+    with _SHARD_LOCK:
+        return _shard(runner, kind_name, payload, index, digest)
+
+
+class _InProcess:
+    """The parent's stand-in for the pool: ``submit`` runs the call here and returns it finished."""
+
+    @staticmethod
+    def submit(fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 # ----------------------------------------------------------- worker side
@@ -190,11 +240,7 @@ def _run_shard(
     digest: str = "",
     attempt: int = 0,
 ) -> Tuple[Any, float, Dict[str, Any]]:
-    """Warm what the shard needs, then compute it; returns ``(value, seconds, stats)``.
-
-    ``stats`` carries the worker's pid and the shard's kernel/query counter
-    deltas -- the parent folds them into :class:`RunTelemetry`, closing the
-    per-process counter gap of parallel runs.
+    """:func:`_shard` in a pool worker; its report adds the worker's pid.
 
     The ``worker.crash`` / ``shard.hang`` injection points live here, keyed
     ``digest:shard:attempt`` -- folding the attempt in is what lets a chaos
@@ -204,42 +250,14 @@ def _run_shard(
     fault_key = f"{digest}:{shard_index}:{attempt}"
     FAULTS.maybe_crash(fault_key)
     FAULTS.maybe_hang(fault_key)
-    kernel_mark = KERNEL_STATS.snapshot()
-    query_mark = QUERY_STATS.snapshot()
-    kind = get_cell_kind(kind_name)
-    start = perf_counter()
-    with TRACER.span(
-        "shard",
-        cat="engine",
-        kind=kind_name,
-        digest=digest[:DIGEST_WIDTH],
-        shard=shard_index,
-    ):
-        kind.warm(_WORKER_RUNNER, payload)
-        value = kind.compute_shard(_WORKER_RUNNER, payload, shard_index)
-    stats = {
-        "pid": os.getpid(),
-        "kernels": KERNEL_STATS.delta(kernel_mark),
-        "queries": QUERY_STATS.delta(query_mark),
-    }
-    return value, perf_counter() - start, stats
+    value, seconds, report = _shard(_WORKER_RUNNER, kind_name, payload, shard_index, digest)
+    return value, seconds, {**report, "pid": os.getpid()}
 
 
-def _train_unit(name: str) -> Tuple[Optional[float], Dict[str, Any]]:
-    """Train (or, if published meanwhile, load) one zoo unit in a worker.
-
-    Returns the seconds this worker spent training it (``None`` if it only
-    loaded it) and ``stats``: the worker's pid and its kernel-counter delta,
-    which the parent folds into the run telemetry (a DA-victim substitute
-    queries the approximate kernels while it trains).
-    """
+def _train_unit(name: str) -> Dict[str, Any]:
+    """:func:`_train` in a pool worker, past ``worker.crash`` at ``zoo:<unit>``; adds the pid."""
     FAULTS.maybe_crash(f"zoo:{name}")
-    trained_mark = len(TRAINED_UNITS)
-    kernel_mark = KERNEL_STATS.snapshot()
-    _WORKER_UNITS[name].resolve()
-    trained = TRAINED_UNITS[trained_mark:]
-    seconds = sum(s for _, s in trained) if trained else None
-    return seconds, {"pid": os.getpid(), "kernels": KERNEL_STATS.delta(kernel_mark)}
+    return {**_train(_WORKER_UNITS[name]), "pid": os.getpid()}
 
 
 @dataclass
@@ -249,17 +267,39 @@ class _ShardRun:
     task: CellTask
     index: int
     attempt: int = 0
-    deadline: Optional[float] = None  # monotonic, None when untimed
+    deadline: Optional[float] = None  # monotonic, None when untimed or in-process
 
 
 @dataclass
 class _UnitRun:
-    """One zoo unit in flight (units carry no deadline)."""
+    """One zoo unit attempt in flight (units carry no deadline).
+
+    ``task`` is the first cell that needs the unit, which names its failure;
+    ``local`` is set when the parent trains it.
+    """
 
     name: str
+    task: CellTask
+    attempt: int = 0
+    local: bool = False
 
 
 _Run = Union[_ShardRun, _UnitRun]
+
+
+def _exhausted(run: _Run, cause: str, exc: Optional[BaseException]) -> CellExecutionError:
+    """The error for a shard or zoo unit out of retries, named through its cell."""
+    task = run.task
+    shard = run.index if isinstance(run, _ShardRun) else None
+    step = f"shard {shard}" if shard is not None else f"zoo unit {run.name}"
+    return CellExecutionError(
+        f"{task.kind} cell {task.digest[:10]} {step} (owner {task.owner}) {cause} "
+        f"after {run.attempt + 1} attempt(s)" + (f": {exc}" if exc is not None else ""),
+        kind=task.kind,
+        digest=task.digest,
+        shard=shard,
+        owner=task.owner,
+    )
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -393,22 +433,12 @@ class ParallelEngine:
                 finish(task, CellOutcome(value, "hit", 0.0, task.n_shards))
             else:
                 pending.append(task)
-        if not pending:
-            return outcomes
-
-        if self.runner.jobs > 1:
-            native.BACKEND.kernels()  # build or load once here, before the pool forks
-        units, needs = self._missing_units(pending)
-        queue = _ReadyQueue(pending, units, needs, groups if groups is not None else ())
-        leases: Dict[str, Lease] = {}
-        deferred: List[CellTask] = []
-        try:
-            self._run(queue, leases, deferred, finish)
-        finally:
-            for lease in leases.values():
-                lease.release()
-        for task in deferred:
-            finish(task, self._collect_foreign(task))
+        deferred = self._run(pending, groups or (), finish) if pending else []
+        while deferred:
+            task = deferred.pop(0)
+            lease = self._collect_foreign(task, finish)
+            if lease is not None:  # its writer died without publishing
+                deferred += self._run([task], (), finish, {task.digest: lease})
         return outcomes
 
     # ------------------------------------------------------------ internals
@@ -448,17 +478,25 @@ class ParallelEngine:
 
     def _run(
         self,
-        queue: _ReadyQueue,
-        leases: Dict[str, Lease],
-        deferred: List[CellTask],
+        tasks: List[CellTask],
+        groups: Iterable[Iterable[str]],
         finish: OnCell,
-    ) -> None:
-        """Run every unit and shard of ``queue``, on the pool or in this process."""
+        leases: Optional[Dict[str, Lease]] = None,
+    ) -> List[CellTask]:
+        """Run every shard of ``tasks`` and every unit they need, on the pool or in this process.
+
+        ``leases`` are cell leases already held (inherited from a dead
+        writer).  Every lease still held is released when the run ends or
+        fails.  Returns the cells deferred to a live foreign writer.
+        """
         runner = self.runner
         telemetry = runner.telemetry
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if fork else "spawn")
-        tasks = queue.tasks
+        units, needs = self._missing_units(tasks)
+        queue = _ReadyQueue(tasks, units, needs, groups)
+        leases = dict(leases or {})
+        deferred: List[CellTask] = []
         shard_values: Dict[str, List[Any]] = {t.digest: [None] * t.n_shards for t in tasks}
         shard_left: Dict[str, int] = {t.digest: t.n_shards for t in tasks}
         shard_seconds: Dict[str, float] = {t.digest: 0.0 for t in tasks}
@@ -466,19 +504,20 @@ class ParallelEngine:
         claimed: Set[str] = set()
         retries = shard_retries()
         timeout = shard_timeout()
-        workers = min(runner.jobs, sum(t.n_shards for t in tasks) + len(queue.units))
+        workers = min(runner.jobs, sum(t.n_shards for t in tasks) + len(units))
         initargs = (
             runner.fast,
             str(runner.cache_dir),
             runner.use_cache,
             runner.shard_size,
             TRACER.worker_spool_dir(),
-            queue.units if fork else None,
+            units if fork else None,
         )
         if not fork:  # the units cannot travel to spawned workers
-            queue.parent.update(queue.units)
+            queue.parent.update(units)
 
         def spawn_pool() -> ProcessPoolExecutor:
+            native.BACKEND.kernels()  # build or load once here, before a pool forks
             return ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=context,
@@ -493,8 +532,8 @@ class ParallelEngine:
             claimed.add(task.digest)
             if not runner.use_cache:
                 return True
-            lease = runner.store.try_lease(task.kind, task.digest)
-            if lease is None:  # computed by another process: harvested at the end
+            lease = leases.pop(task.digest, None) or runner.store.try_lease(task.kind, task.digest)
+            if lease is None:  # computed by another process: collected after the run
                 queue.drop(task.digest)
                 deferred.append(task)
                 return False
@@ -508,17 +547,13 @@ class ParallelEngine:
             return True
 
         def complete_shard(
-            task: CellTask,
-            index: int,
-            value: Any,
-            seconds: float,
-            stats: Optional[Dict[str, Any]],
+            task: CellTask, index: int, value: Any, seconds: float, report: Dict[str, Any]
         ) -> None:
             key = (task.digest, index)
             if key in done_shards:  # resubmission raced its original
                 return
             done_shards.add(key)
-            telemetry.fold_worker(stats)
+            telemetry.fold_worker(report)
             digest = task.digest
             shard_values[digest][index] = value
             shard_seconds[digest] += seconds
@@ -552,13 +587,9 @@ class ParallelEngine:
                         leases[digest] = fresh
                         telemetry.count_fault("lease_reacquired")
 
-        def publish(
-            name: str, seconds: Optional[float] = None, stats: Optional[Dict[str, Any]] = None
-        ) -> None:
-            """Unit ``name`` has published; ``seconds`` and ``stats`` come from a pool worker."""
-            if seconds is not None and stats is not None:
-                telemetry.zoo_pool.append((name, seconds, stats["pid"]))
-            telemetry.fold_worker(stats)
+        def publish(name: str, report: Dict[str, Any]) -> None:
+            """Unit ``name`` has published."""
+            telemetry.fold_worker(report)
             telemetry.zoo_published()
             queue.publish(name)
 
@@ -567,7 +598,7 @@ class ParallelEngine:
 
         pool: Optional[ProcessPoolExecutor] = spawn_pool() if runner.jobs > 1 else None
         inflight: Dict[Future, _Run] = {}
-        requeued: List[_Run] = []  # lost to a dead pool: dispatched again first
+        requeued: List[_Run] = []  # retried, or lost to a dead pool: dispatched again first
         respawns = 0
 
         def next_run() -> Optional[_Run]:
@@ -576,39 +607,35 @@ class ParallelEngine:
             item = queue.pop()
             if item is None:
                 return None
-            return _UnitRun(item) if isinstance(item, str) else _ShardRun(*item)
+            return _UnitRun(item, queue.needer(item)) if isinstance(item, str) else _ShardRun(*item)
 
         def start(run: _Run) -> bool:
             """Dispatch ``run`` to the pool, or run it here and now; False if the pool is broken."""
             if isinstance(run, _UnitRun):
                 telemetry.zoo_started()
-                if pool is None or run.name in queue.parent:
-                    self._train_in_process(queue, run.name)
-                    publish(run.name)
-                    return True
-                call: Tuple[Any, ...] = (_train_unit, run.name)
+                local = run.local = pool is None or run.name in queue.parent
+                call = (_train, units[run.name]) if local else (_train_unit, run.name)
+            elif not claim(run.task):
+                return True
             else:
-                if not claim(run.task):
-                    return True
-                if pool is None:
-                    value, seconds = self._shard_in_process(run.task, run.index)
-                    complete_shard(run.task, run.index, value, seconds, None)
-                    return True
-                task = run.task
-                call = (_run_shard, task.kind, task.payload, run.index, task.digest, run.attempt)
-                run.deadline = monotonic() + timeout if timeout is not None else None
+                task, local = run.task, pool is None
+                shard = (task.kind, task.payload, run.index, task.digest)
+                if local:
+                    call = (_locked_shard, runner, *shard)
+                else:
+                    call = (_run_shard, *shard, run.attempt)
+                untimed = local or timeout is None
+                run.deadline = None if untimed else monotonic() + timeout
             try:
-                inflight[pool.submit(*call)] = run
+                inflight[(_InProcess if local else pool).submit(*call)] = run
             except BrokenProcessPool:  # a worker died since the last wait
                 requeued.insert(0, run)
                 return False
             return True
 
-        def retry(run: _ShardRun, cause: str, exc: Optional[BaseException]) -> None:
+        def retry(run: _Run, cause: str, exc: Optional[BaseException]) -> None:
             if run.attempt >= retries:
-                raise _exhausted(
-                    run.task, f"shard {run.index}", cause, run.attempt + 1, exc, run.index
-                ) from exc
+                raise _exhausted(run, cause, exc) from exc
             run.attempt += 1
             telemetry.count_fault("shard_retries")
             requeued.append(run)
@@ -618,8 +645,12 @@ class ParallelEngine:
 
             A broken pool is unusable; a blown deadline means a wedged
             worker, and running futures can't be cancelled: either way the
-            pool dies.  Innocent inflight tasks lose their partial work and
-            rerun at the same attempt.
+            pool dies.  Every shard it took down (``crashed``: a death
+            fails every future in flight, so the shard that killed the
+            worker cannot be told from its bystanders) or that blew its
+            deadline is retried at attempt+1, so an exhausted ``crashed``
+            error can name a bystander.  Tasks still in flight when the
+            pool was killed rerun at their current attempt.
             """
             nonlocal pool, respawns
             survivors = list(inflight.values())
@@ -677,7 +708,7 @@ class ParallelEngine:
                         poll = max(0.01, min(deadlines) - monotonic())
                 done, _ = wait(set(inflight), timeout=poll, return_when=FIRST_COMPLETED)
                 crashed: List[_ShardRun] = []
-                failed: List[Tuple[_ShardRun, BaseException]] = []
+                failed: List[Tuple[_Run, BaseException]] = []
                 pool_broken = False
                 for future in done:
                     run = inflight.pop(future)
@@ -697,9 +728,9 @@ class ParallelEngine:
                             crashed.append(run)
                         continue
                     except Exception as exc:
-                        if isinstance(run, _UnitRun):
-                            # the parent trains it, and raises again in-process
-                            # if the failure is real
+                        if isinstance(run, _UnitRun) and not run.local:
+                            # the parent trains it, and retries it there if
+                            # the failure is real
                             warnings.warn(
                                 f"zoo unit {run.name} failed on the pool ({exc!r}); "
                                 "training it in-process",
@@ -711,7 +742,7 @@ class ParallelEngine:
                             failed.append((run, exc))
                         continue
                     if isinstance(run, _UnitRun):
-                        publish(run.name, *result)
+                        publish(run.name, result)
                     else:
                         complete_shard(run.task, run.index, *result)
                 expired: List[_ShardRun] = []
@@ -728,78 +759,28 @@ class ParallelEngine:
                     if pool_broken:
                         telemetry.count_fault("worker_crashes")
                     pool_died(crashed, expired)
-                elif failed:
-                    for run, exc in failed:
-                        time.sleep(backoff_seconds(run.attempt + 1))
-                        retry(run, "failed", exc)
+                for run, exc in failed:
+                    time.sleep(backoff_seconds(run.attempt + 1))
+                    retry(run, "failed", exc)
+            if pool is not None:
+                pool.shutdown(wait=True)
         except BaseException:
             if pool is not None:
                 _kill_pool(pool)  # interrupted: don't wait out the units in flight
             raise
-        if pool is not None:
-            pool.shutdown(wait=True)
+        finally:
+            for lease in leases.values():
+                lease.release()
+        return deferred
 
-    def _retrying(
-        self, task: CellTask, step: str, run: Callable[[], Any], shard: Optional[int] = None
-    ) -> Any:
-        """Run one in-process ``step`` of ``task`` under the bounded shard retry.
+    def _collect_foreign(self, task: CellTask, finish: OnCell) -> Optional[Lease]:
+        """Wait out another process computing ``task``: read its artifact, or inherit its lease.
 
-        Serves every shard at ``jobs == 1``, the shards a dying pool left
-        over, a taken-over cell's shards and the units the parent trains.  A
-        transient failure (an injected ``kernel.build_fail``, a flaky IO
-        error) gets ``REPRO_SHARD_RETRIES`` fresh attempts with backoff; a
-        deterministic bug exhausts them and raises
-        :class:`CellExecutionError` naming the cell, the step and the owner.
+        Polls the artifact optimistically (this process holds no lease by
+        now, so this cannot deadlock).  Returns the lease when the foreign
+        writer died without publishing; the caller then runs the cell.
         """
-        retries = shard_retries()
-        attempt = 0
-        while True:
-            try:
-                return run()
-            except Exception as exc:
-                if attempt >= retries:
-                    raise _exhausted(task, step, "failed", attempt + 1, exc, shard) from exc
-                attempt += 1
-                self.runner.telemetry.count_fault("shard_retries")
-                time.sleep(backoff_seconds(attempt))
-
-    def _train_in_process(self, queue: _ReadyQueue, name: str) -> None:
-        """Train (or load) unit ``name`` in this process."""
-        self._retrying(queue.needer(name), f"zoo unit {name}", queue.units[name].resolve)
-
-    def _shard_in_process(self, task: CellTask, index: int) -> Tuple[Any, float]:
-        """Warm what a shard needs and compute it in this process; returns ``(value, seconds)``."""
-        kind = get_cell_kind(task.kind)
-
-        def compute() -> Any:
-            with _SHARD_LOCK:
-                kind.warm(self.runner, task.payload)
-                return kind.compute_shard(self.runner, task.payload, index)
-
-        start = perf_counter()
-        with TRACER.span(
-            "shard", cat="engine", kind=task.kind, digest=task.digest[:DIGEST_WIDTH], shard=index
-        ):
-            value = self._retrying(task, f"shard {index}", compute, index)
-        return value, perf_counter() - start
-
-    def _collect_foreign(self, task: CellTask) -> CellOutcome:
-        """Wait out another process computing ``task``, then read its artifact.
-
-        Polls the artifact optimistically (we hold no leases by now, so this
-        cannot deadlock).  If the foreign writer died without publishing, its
-        lease falls to us and the cell's shards are computed in-process here.
-        """
-        runner = self.runner
-        start = perf_counter()
-        value, lease = runner.store.wait_for(task.kind, task.digest)
+        value, lease = self.runner.store.wait_for(task.kind, task.digest)
         if value is not None:
-            return CellOutcome(value, "hit", 0.0, task.n_shards)
-        with lease:
-            value = runner.read_cell(task.kind, task.payload, task.digest)
-            if value is not None:
-                return CellOutcome(value, "hit", 0.0, task.n_shards)
-            shards = [self._shard_in_process(task, i)[0] for i in range(task.n_shards)]
-            value = runner.merge_cell(task.kind, task.payload, shards)
-            runner.write_cell(task.kind, task.digest, value, task.payload)
-            return CellOutcome(value, "computed", perf_counter() - start, task.n_shards)
+            finish(task, CellOutcome(value, "hit", 0.0, task.n_shards))
+        return lease

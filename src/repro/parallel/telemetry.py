@@ -10,11 +10,11 @@ guarantees explicitly exclude them.
 
 Kernel and attack-query counters are process-level singletons
 (:data:`~repro.arith.kernels.KERNEL_STATS` /
-:data:`~repro.attacks.base.QUERY_STATS`): the planning process's activity is
-read as a snapshot/delta pair, and with ``jobs > 1`` every pool worker
-returns its own counter deltas alongside each shard value, folded in through
-:meth:`fold_worker` -- so :meth:`kernel_totals` / :meth:`query_totals` are
-truthful whole-run sums regardless of where the work ran.
+:data:`~repro.attacks.base.QUERY_STATS`).  Every shard and zoo unit of a run
+reports its own counter deltas, measured where it ran (a pool worker, or
+this process), and :meth:`fold_worker` sums the reports -- so
+:meth:`kernel_totals` / :meth:`query_totals` count this run's work, not that
+of another run on another thread of the same process.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from repro.nn.native import NATIVE_STATS
 DIGEST_WIDTH = 12
 
 
-def _zoo_mark() -> int:
-    from repro.experiments.zoo import TRAINED_UNITS  # lazy: zoo imports this package
-
-    return len(TRAINED_UNITS)
+def _zeros(counters) -> Dict[str, int]:
+    return dict.fromkeys(counters.snapshot(), 0)
 
 
 def _remote_mark() -> Dict[str, int]:
@@ -76,33 +74,25 @@ class RunTelemetry:
     jobs: int = 1
     cells_total: int = 0
     events: List[CellEvent] = field(default_factory=list)
-    #: GEMM kernel-engine counters at run start; :meth:`kernel_totals`
-    #: reports the delta plus every folded worker contribution
-    kernel_mark: Dict[str, int] = field(default_factory=KERNEL_STATS.snapshot)
-    #: classifier call-batch-size counters at run start.  The totals show how
-    #: well the batched attack engine amortised model calls -- calls at batch
-    #: 1 vs batched, mean query batch -- and cover only calls issued during
-    #: attack execution (evaluation traffic such as victim-selection scans is
-    #: excluded by the counter's scope).
-    query_mark: Dict[str, int] = field(default_factory=QUERY_STATS.snapshot)
+    #: GEMM kernel-engine counter deltas the run's tasks reported, summed
+    kernels: Dict[str, int] = field(default_factory=lambda: _zeros(KERNEL_STATS))
+    #: classifier call-batch-size counter deltas the run's shards reported,
+    #: summed.  They show how well the batched attack engine amortised model
+    #: calls -- calls at batch 1 vs batched, mean query batch -- and cover
+    #: only calls issued during attack execution (evaluation traffic such as
+    #: victim-selection scans is excluded by the counter's scope).
+    queries: Dict[str, int] = field(default_factory=lambda: _zeros(QUERY_STATS))
     #: remote artifact-tier counters at run start; :meth:`remote_totals`
     #: reports the delta (all zeros on a local-only run)
     remote_mark: Dict[str, int] = field(default_factory=_remote_mark)
     #: native-kernel counters at run start; :meth:`fold_native` reports a
     #: numpy fallback resolved during the run as ``faults["native_fallbacks"]``
     native_mark: Dict[str, int] = field(default_factory=NATIVE_STATS.snapshot)
-    #: summed counter deltas returned by pool-worker shards
-    worker_kernels: Dict[str, int] = field(default_factory=dict)
-    worker_queries: Dict[str, int] = field(default_factory=dict)
-    #: pids of every worker that contributed a shard to this run
+    #: pids of every pool worker that reported a task of this run
     worker_pids: List[int] = field(default_factory=list)
-    #: zoo units this process had trained when the run began (an index into
-    #: :data:`repro.experiments.zoo.TRAINED_UNITS`); :meth:`zoo_training`
-    #: reports the units trained since
-    zoo_mark: int = field(default_factory=_zoo_mark)
-    #: ``(unit, training seconds, worker pid)`` for each unit the engine's
-    #: pool trained
-    zoo_pool: List[Tuple[str, float, int]] = field(default_factory=list)
+    #: ``(unit, training seconds, pool worker pid or None)`` for each unit
+    #: the run trained; ``None`` is this process
+    zoo_units: List[Tuple[str, float, Optional[int]]] = field(default_factory=list)
     #: when the run's first unit started and its last one published
     #: (``perf_counter`` seconds; ``None`` until a unit starts)
     zoo_window: Optional[List[float]] = None
@@ -160,19 +150,20 @@ class RunTelemetry:
         if self.zoo_window is not None:
             self.zoo_window[1] = perf_counter()
 
-    def fold_worker(self, stats: Optional[Dict[str, Any]]) -> None:
-        """Merge one worker shard's counter deltas into the run totals."""
-        if not stats:
-            return
-        pid = stats.get("pid")
-        if pid and pid not in self.worker_pids:
+    def fold_worker(self, report: Dict[str, Any]) -> None:
+        """Merge one task's report into the run totals, wherever the task ran.
+
+        A shard reports its kernel and attack-query counter deltas, a unit
+        its kernel delta and training seconds; a pool worker adds its pid.
+        """
+        pid = report.get("pid")
+        if pid is not None and pid not in self.worker_pids:
             self.worker_pids.append(int(pid))
-        for bucket, totals in (
-            ("kernels", self.worker_kernels),
-            ("queries", self.worker_queries),
-        ):
-            for name, value in (stats.get(bucket) or {}).items():
+        for bucket, totals in (("kernels", self.kernels), ("queries", self.queries)):
+            for name, value in report.get(bucket, {}).items():
                 totals[name] = totals.get(name, 0) + int(value)
+        if report.get("unit_s") is not None:
+            self.zoo_units.append((report["unit"], report["unit_s"], pid))
 
     # ------------------------------------------------------------- counters
     @property
@@ -192,18 +183,12 @@ class RunTelemetry:
         return sum(e.seconds for e in self.events if e.status == "computed")
 
     def kernel_totals(self) -> Dict[str, int]:
-        """This run's kernel-engine activity, local delta plus worker folds."""
-        totals = KERNEL_STATS.delta(self.kernel_mark)
-        for name, value in self.worker_kernels.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals
+        """This run's kernel-engine activity: the sum of its tasks' reports."""
+        return dict(self.kernels)
 
     def query_totals(self) -> Dict[str, int]:
-        """This run's attack-scoped classifier calls, workers folded in."""
-        totals = QUERY_STATS.delta(self.query_mark)
-        for name, value in self.worker_queries.items():
-            totals[name] = totals.get(name, 0) + value
-        return totals
+        """This run's attack-scoped classifier calls: the sum of its shards' reports."""
+        return dict(self.queries)
 
     def remote_totals(self) -> Dict[str, int]:
         """This run's remote artifact-tier activity (process-local delta).
@@ -224,16 +209,12 @@ class RunTelemetry:
         publish).  ``wall_s`` spans the run's first unit start to its last
         unit publication; cells computed meanwhile overlap it.
         """
-        from repro.experiments.zoo import TRAINED_UNITS
-
-        parent = [(name, seconds, os.getpid()) for name, seconds in TRAINED_UNITS[self.zoo_mark :]]
-        trained = [*self.zoo_pool, *parent]
         window = self.zoo_window or [0.0, 0.0]
         return {
-            "pool": [name for name, _, _ in self.zoo_pool],
-            "parent": [name for name, _, _ in parent],
-            "unit_s": {name: round(seconds, 3) for name, seconds, _ in trained},
-            "worker": {name: pid for name, _, pid in trained},
+            "pool": [name for name, _, pid in self.zoo_units if pid is not None],
+            "parent": [name for name, _, pid in self.zoo_units if pid is None],
+            "unit_s": {name: round(seconds, 3) for name, seconds, _ in self.zoo_units},
+            "worker": {name: pid or os.getpid() for name, _, pid in self.zoo_units},
             "wall_s": round(window[1] - window[0], 3),
         }
 

@@ -166,6 +166,18 @@ _VARIANT_CACHE: Dict[Any, Any] = {}
 _MODEL_CACHE_LOCK = threading.RLock()
 
 
+def _fresh_model_cache_lock() -> None:
+    # a child forked while another thread resolves a model (a pool forked
+    # beside a service job's run) inherits the lock held, and nobody there
+    # would release it
+    global _MODEL_CACHE_LOCK
+    _MODEL_CACHE_LOCK = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_model_cache_lock)
+
+
 def clear_model_caches() -> None:
     """Drop the in-process model and dataset-split memos (tests / memory pressure)."""
     from repro.experiments.zoo import clear_dataset_splits

@@ -390,6 +390,49 @@ def test_a_pool_found_broken_at_submit_is_rebuilt(tmp_path, monkeypatch):
     assert deterministic_json(result) == deterministic_json(clean)
 
 
+def _crash_and_hang_seeds(digest):
+    """Seeds at probability 0.2: a crash at one shard's first attempt, a hang at the other's.
+
+    Neither fires at any other attempt the default retry budget reaches.
+    """
+    sites = [f"{digest}:{shard}:{attempt}" for shard in (0, 1) for attempt in range(3)]
+
+    def firing(point, seed):
+        return [site for site in sites if FaultInjector._decide(FaultSpec(point, 0.2, seed), site)]
+
+    crash = next(s for s in range(1000) if firing("worker.crash", s) in ([sites[0]], [sites[3]]))
+    bystander = sites[3] if firing("worker.crash", crash) == [sites[0]] else sites[0]
+    return crash, next(s for s in range(1000) if firing("shard.hang", s) == [bystander])
+
+
+@needs_fork
+def test_a_crash_charges_every_shard_in_flight_one_retry(tmp_path, monkeypatch, tiny_zoo_entry):
+    # a worker death fails every future in flight, so the engine cannot tell
+    # the shard that killed the worker from a bystander: both rerun at
+    # attempt+1 on the rebuilt pool, and each counts one shard retry
+    spec = ExperimentSpec(
+        name="faults_bystander",
+        kind="whitebox",
+        model=tiny_zoo_entry,
+        variants=("exact",),
+        attacks=(("PGD", "pgd", {"epsilon": 0.1, "steps": 3}),),
+        n_samples=4,
+    )
+    clean = make_runner(tmp_path, "clean", shard_size=2).run(spec)
+    runner = make_runner(tmp_path, jobs=2, shard_size=2)
+    (task,) = build_plan(runner, [spec]).tasks.values()
+    assert task.n_shards == 2
+    crash, hang = _crash_and_hang_seeds(task.digest)
+    # the hang keeps the bystander in flight until the crash takes it down
+    monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", "20")
+    FAULTS.configure(f"worker.crash:0.2:{crash},shard.hang:0.2:{hang}")
+    result = runner.run(spec)
+    faults = runner.telemetry.faults
+    assert (faults["worker_crashes"], faults["pool_respawns"], faults["shard_retries"]) == (1, 1, 2)
+    assert faults["shard_timeouts"] == 0
+    assert deterministic_json(result) == deterministic_json(clean)
+
+
 @needs_fork
 def test_exhausted_retries_raise_cell_identity(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_RETRIES", "0")

@@ -18,6 +18,7 @@ from repro.core.evaluation import (
 )
 from repro.experiments.zoo import ZOO
 from repro.parallel.locks import FileLock, LockUnavailable, atomic_write_json, atomic_write_text
+from repro.parallel.plan import build_plan
 from repro.parallel.sharding import (
     attack_shard_size,
     cell_seed,
@@ -33,6 +34,8 @@ from repro.pipeline import (
     get_cell_kind,
 )
 from repro.pipeline.cells import _seeded_attack
+from repro.pipeline.runner import clear_model_caches
+from repro.store import ArtifactStore
 
 #: cheap catalog experiments: no zoo model, no attack -- safe on a cold cache
 CHEAP_EXPERIMENTS = ["fig04_approx_convolution", "table07_energy_delay"]
@@ -299,7 +302,8 @@ def test_whole_experiment_invariant_to_shard_size(tmp_path, tiny_zoo_entry):
 def test_concurrent_in_process_runs_take_turns_on_shared_models(tmp_path, tiny_zoo_entry):
     # service job threads share one process's memoised models, whose layers
     # keep per-call state between forward and backward: three jobs=1 runs
-    # attacking the same models at once must each equal their lone run
+    # attacking the same models at once must each equal their lone run, and
+    # count only their own kernel calls and attack queries
     specs = [
         tiny_whitebox_spec(tiny_zoo_entry).replace(
             variants=("exact", "da"),
@@ -307,15 +311,21 @@ def test_concurrent_in_process_runs_take_turns_on_shared_models(tmp_path, tiny_z
         )
         for i in range(3)
     ]
-    want = {
-        i: deterministic_json(make_runner(tmp_path, "alone", jobs=1, shard_size=2).run(spec))
-        for i, spec in enumerate(specs)
-    }
+    # the first run in a process also pays the memoised warm-up and victim
+    # selection, which every later run shares: pay them before counting
+    make_runner(tmp_path, "warm", jobs=1, shard_size=2).run(specs[0])
+
+    def counted(tag, spec):
+        runner = make_runner(tmp_path, tag, jobs=1, shard_size=2)
+        result = deterministic_json(runner.run(spec))
+        return result, runner.telemetry.kernel_totals(), runner.telemetry.query_totals()
+
+    want = {i: counted("alone", spec) for i, spec in enumerate(specs)}
+    assert all(counts["fused_calls"] + counts["fallback_calls"] for _, counts, _ in want.values())
     got = {}
 
     def run(i):
-        runner = make_runner(tmp_path, f"thread{i}", jobs=1, shard_size=2)
-        got[i] = deterministic_json(runner.run(specs[i]))
+        got[i] = counted(f"thread{i}", specs[i])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
     interval = sys.getswitchinterval()
@@ -329,6 +339,84 @@ def test_concurrent_in_process_runs_take_turns_on_shared_models(tmp_path, tiny_z
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == want
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="pool test needs fork to inherit the test zoo entry")
+def test_a_pool_forked_while_another_thread_resolves_a_model_runs(
+    tmp_path, monkeypatch, tiny_zoo_entry, tiny_model, digit_split
+):
+    # a service job resolving a slow zoo entry holds the model-resolution
+    # lock while another job forks its pool: a worker that inherited the
+    # lock held would wait for it forever (here: until its deadline)
+    monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "5")
+    clear_model_caches()  # the workers' memo lacks the run's entry
+    entered, release = threading.Event(), threading.Event()
+
+    def slow(fast=False):
+        entered.set()
+        release.wait(timeout=60)
+        return tiny_model, digit_split
+
+    ZOO.register("parallel_test_slow_zoo", slow, overwrite=True)
+    holder = threading.Thread(
+        target=make_runner(tmp_path, "slow").zoo, args=("parallel_test_slow_zoo",)
+    )
+    holder.start()
+    try:
+        assert entered.wait(timeout=30)
+        runner = make_runner(tmp_path, jobs=2, shard_size=2)
+        result = runner.run(tiny_whitebox_spec(tiny_zoo_entry))
+    finally:
+        release.set()
+        holder.join(timeout=60)
+        ZOO.unregister("parallel_test_slow_zoo")
+    assert runner.telemetry.faults["shard_timeouts"] == 0
+    assert result.cache_misses == 1
+
+
+def _hold_lease(cache_dir, kind, digest, claimed, release):
+    """A foreign writer: claims the cell's lease, then exits without publishing."""
+    ArtifactStore(cache_dir).try_lease(kind, digest)
+    claimed.set()
+    release.wait(timeout=60)
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="the foreign writer is a forked child")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cell_whose_foreign_writer_died_is_taken_over(
+    tmp_path, monkeypatch, tiny_zoo_entry, jobs
+):
+    spec = tiny_whitebox_spec(tiny_zoo_entry)
+    clean = make_runner(tmp_path, "clean", jobs=1, shard_size=2).run(spec)
+    runner = make_runner(tmp_path, jobs=jobs, shard_size=2)
+    (task,) = build_plan(runner, [spec]).tasks.values()
+    fork = multiprocessing.get_context("fork")
+    claimed, release = fork.Event(), fork.Event()
+    writer = fork.Process(
+        target=_hold_lease, args=(runner.cache_dir, task.kind, task.digest, claimed, release)
+    )
+    writer.start()
+    # reaped as soon as it exits: a zombie's pid still probes alive, and its
+    # lease would read live until the TTL
+    threading.Thread(target=writer.join, daemon=True).start()
+    waits = []
+    wait_for = ArtifactStore.wait_for
+
+    def writer_dies(store, kind, digest, *args, **kwargs):
+        waits.append(digest)
+        release.set()
+        return wait_for(store, kind, digest, *args, **kwargs)
+
+    monkeypatch.setattr(ArtifactStore, "wait_for", writer_dies)
+    try:
+        assert claimed.wait(timeout=30)
+        result = runner.run(spec)
+    finally:
+        release.set()
+    assert waits == [task.digest]  # deferred to the writer, then taken over
+    assert runner.cache_misses == 1 and result.cache_misses == 1
+    assert deterministic_json(result) == deterministic_json(clean)
+    assert runner.store.lease_holder(task.kind, task.digest) is None
 
 
 @pytest.mark.skipif(not HAS_FORK, reason="pool test needs fork to inherit the test zoo entry")

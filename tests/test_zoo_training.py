@@ -13,6 +13,7 @@ The zoo entries here are registered inside the tests and train in
 milliseconds; ``fork`` carries the registrations into the pool workers.
 """
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -181,6 +182,39 @@ def test_units_the_pool_fails_to_publish_are_trained_by_the_parent(
     zoo_run = runner.telemetry.zoo_training()
     assert zoo_run["pool"] == [] and sorted(zoo_run["parent"]) == unit_names()
     assert sorted(zoo_run["unit_s"]) == unit_names()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_unit_that_fails_in_the_parent_is_retried_then_names_its_cell(
+    tmp_path, monkeypatch, tiny_zoo, jobs
+):
+    # the parent's training goes through the same bounded retry as a shard:
+    # REPRO_SHARD_RETRIES attempts after the first, then an error naming
+    # the first cell that needs the unit, the unit and the owner
+    if jobs > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the pool needs fork to inherit the test zoo entries")
+    monkeypatch.setenv("REPRO_SHARD_RETRIES", "1")
+    attempts = tmp_path / "attempts.txt"
+
+    def fail(name):
+        with attempts.open("a") as out:
+            out.write(f"{os.getpid()}\n")
+        raise RuntimeError(f"{name} cannot train anywhere")
+
+    _register(BASE, 1, tiny_zoo, before_training=fail)
+    runner = Runner(fast=True, cache_dir=tmp_path / "cells", jobs=jobs)
+    on_the_pool = pytest.warns(RuntimeWarning, match="failed on the pool")
+    with on_the_pool if jobs > 1 else contextlib.nullcontext():
+        with pytest.raises(engine.CellExecutionError) as excinfo:
+            runner.run(accuracy_spec())
+    error = excinfo.value
+    assert f"zoo unit {BASE}" in str(error) and "failed after 2 attempt(s)" in str(error)
+    assert "cannot train anywhere" in str(error)
+    assert error.shard is None and error.owner == "zoo_training_accuracy"
+    pids = attempts.read_text().split()
+    # one attempt on the pool, then the parent's first attempt and its retry
+    assert pids[-2:] == [str(os.getpid())] * 2 and len(pids) == 1 + jobs
+    assert runner.telemetry.faults["shard_retries"] == 1
 
 
 class RecordingPool(engine.ProcessPoolExecutor):
