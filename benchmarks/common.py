@@ -2,16 +2,22 @@
 
 Each harness records one ``BENCH_*.json`` file.  :func:`provenance` stamps
 the record with the commit and core count it was measured on, and
-:func:`load_baseline` plus :func:`check_regression` gate a fresh record's
-speedup ratios against the committed one (``--check``).
+:func:`check_regression` gates a fresh record's speedup ratios against the
+committed one (``--check``).  A check never writes the committed file
+(:func:`record_paths`): its fresh record goes under ``results/``, so a
+failed check cannot become the next check's baseline.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
+
+#: the repository whose committed ``BENCH_*.json`` files hold the baselines
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def provenance() -> dict:
@@ -39,11 +45,50 @@ def provenance() -> dict:
 
 
 # ------------------------------------------------------- regression checking
-def load_baseline(path) -> dict:
-    """The previously recorded ``BENCH_*.json``, or ``{}`` if absent/corrupt.
+def add_record_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """The ``--out`` and ``--check`` options of the harness recording ``BENCH_<name>.json``."""
+    parser.add_argument(
+        "--out",
+        help=f"where to write the record (default: BENCH_{name}.json at the repository "
+        f"root, or results/BENCH_{name}.json with --check)",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help=f"compare the speedup ratios against the committed BENCH_{name}.json, "
+        "which a check never writes, and exit non-zero on regression",
+    )
 
-    Call this *before* the harness overwrites its output file.
+
+def record_paths(args: argparse.Namespace, name: str) -> Tuple[Path, dict]:
+    """Where this run writes its record, and the baseline ``--check`` compares it with.
+
+    Without ``--check`` the run records ``BENCH_<name>.json`` (or ``--out``)
+    and compares with nothing.  With it, the baseline is the committed file,
+    read before anything runs, and the fresh record goes to ``--out`` or
+    ``results/BENCH_<name>.json``, never to the committed file.
     """
+    committed = REPO_ROOT / f"BENCH_{name}.json"
+    if not args.check:
+        return Path(args.out or committed), {}
+    out = Path(args.out or REPO_ROOT / "results" / committed.name)
+    if out.resolve() == committed.resolve():
+        raise SystemExit(
+            f"error: --check compares against {committed}; write the fresh record elsewhere"
+        )
+    return out, load_baseline(committed)
+
+
+def write_record(path: Path, record: dict) -> None:
+    """Write (and print) one harness record."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, indent=2) + "\n")
+    print(json.dumps(record, indent=2))
+    print(f"\n# wrote {path}")
+
+
+def load_baseline(path) -> dict:
+    """The recorded ``BENCH_*.json`` at ``path``, or ``{}`` if absent/corrupt."""
     try:
         return json.loads(Path(path).read_text())
     except (OSError, ValueError):

@@ -34,7 +34,6 @@ budgets (CI mode; exits non-zero on any divergence).
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import time
@@ -47,7 +46,13 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests"))
 
 from attack_reference import reference_perturb  # noqa: E402
-from common import check_regression, load_baseline, provenance  # noqa: E402
+from common import (  # noqa: E402
+    add_record_arguments,
+    check_regression,
+    provenance,
+    record_paths,
+    write_record,
+)
 from repro.attacks.base import Classifier  # noqa: E402
 from repro.attacks.registry import create_attack  # noqa: E402
 from repro.core.evaluation import select_correctly_classified  # noqa: E402
@@ -230,21 +235,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="parity-focused CI mode")
     parser.add_argument("--repeats", type=int, default=3, help="timing repetitions (best-of)")
-    parser.add_argument(
-        "--out",
-        default=str(REPO_ROOT / "BENCH_attacks.json"),
-        help="where to write the benchmark record",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare speedup geomeans against the recorded baseline and exit "
-        "non-zero on regression",
-    )
+    add_record_arguments(parser, "attacks")
     args = parser.parse_args(argv)
     params_by_attack = SMOKE_PARAMS if args.smoke else ATTACK_PARAMS
     repeats = 1 if args.smoke else max(1, args.repeats)
-    baseline_record = load_baseline(args.out) if args.check else {}
+    out_path, baseline_record = record_paths(args, "attacks")
 
     model, split = lenet_digits(fast=True)
     probe = Classifier(model)
@@ -302,10 +297,7 @@ def main(argv=None) -> int:
         "gain the least."
     )
 
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"\n# wrote {out_path}")
+    write_record(out_path, record)
     if record["parity_failures"]:
         print(f"ERROR: parity failures: {record['parity_failures']}", file=sys.stderr)
         return 1

@@ -32,7 +32,6 @@ compiler exists.  Writes ``BENCH_kernels.json`` at the repository root::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import platform
 import sys
@@ -44,7 +43,13 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from common import check_regression, load_baseline, provenance  # noqa: E402
+from common import (  # noqa: E402
+    add_record_arguments,
+    check_regression,
+    provenance,
+    record_paths,
+    write_record,
+)
 from repro.arith.fpm import AxFPM, HEAPMultiplier  # noqa: E402
 from repro.arith.kernels import KERNEL_STATS  # noqa: E402
 from repro.nn import functional as F  # noqa: E402
@@ -257,17 +262,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5, help="timing repeats (best-of)")
     parser.add_argument("--frac-bits", type=int, default=8, help="emulated fraction width")
-    parser.add_argument(
-        "--out", default=str(REPO_ROOT / "BENCH_kernels.json"), help="output JSON path"
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare speedup geomeans against the recorded baseline and exit "
-        "non-zero on regression",
-    )
+    add_record_arguments(parser, "kernels")
     args = parser.parse_args(argv)
-    baseline = load_baseline(args.out) if args.check else {}
+    out_path, baseline = record_paths(args, "kernels")
 
     rng = np.random.default_rng(0)
     record = {
@@ -310,10 +307,7 @@ def main(argv=None) -> int:
     elif not movement["parity"]:
         failed = True
 
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"\n# wrote {out_path}")
+    write_record(out_path, record)
     if failed:
         print("ERROR: a kernel diverged from its reference path", file=sys.stderr)
         return 1

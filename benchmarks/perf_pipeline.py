@@ -48,7 +48,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from common import check_regression, load_baseline, provenance  # noqa: E402
+from common import (  # noqa: E402
+    add_record_arguments,
+    check_regression,
+    provenance,
+    record_paths,
+    write_record,
+)
 from repro.parallel.plan import build_plan  # noqa: E402
 from repro.parallel.sharding import resolve_jobs  # noqa: E402
 from repro.pipeline import (  # noqa: E402
@@ -260,20 +266,10 @@ def _off_overheads(tmp: Path, runs: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", default="auto", help="parallel worker count (default: auto)")
-    parser.add_argument(
-        "--out",
-        default=str(REPO_ROOT / "BENCH_pipeline.json"),
-        help="where to write the benchmark record",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare speedup ratios against the previously recorded baseline "
-        "and exit non-zero on regression",
-    )
+    add_record_arguments(parser, "pipeline")
     args = parser.parse_args(argv)
     jobs = resolve_jobs(args.jobs)
-    baseline = load_baseline(args.out) if args.check else {}
+    out_path, baseline = record_paths(args, "pipeline")
 
     # warm every cell of the workload (zoo models, hardware variants, GEMM
     # kernels) outside the timed region, so every timed run -- serial and
@@ -312,10 +308,7 @@ def main(argv=None) -> int:
         "results_identical_across_jobs": identical,
         **off,
     }
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(record, indent=2) + "\n")
-    print(json.dumps(record, indent=2))
-    print(f"\n# wrote {out_path}")
+    write_record(out_path, record)
     if not identical:
         print("ERROR: parallel results diverged from serial", file=sys.stderr)
         return 1

@@ -362,14 +362,17 @@ def _cmd_run(args: argparse.Namespace, launched: float) -> int:
     if zoo["pool"] or zoo["parent"]:
 
         def units(names: List[str]) -> str:
+            guess = {name: zoo["estimate_s"][name] for name in names}
             return ", ".join(
-                f"{name} {zoo['unit_s'][name]:.1f}s on pid {zoo['worker'][name]}" for name in names
+                f"{name} {'-' if guess[name] is None else f'{guess[name]:.1f}'}/"
+                f"{zoo['unit_s'][name]:.1f}s on pid {zoo['worker'][name]}"
+                for name in names
             )
 
         print(
             f"# zoo training: pool [{units(zoo['pool'])}], "
-            f"parent [{units(zoo['parent'])}], {zoo['wall_s']:.1f}s wall "
-            "from the first unit's start to the last one's publication"
+            f"parent [{units(zoo['parent'])}] (estimated/measured seconds), "
+            f"{zoo['wall_s']:.1f}s wall from the first unit's start to the last one's publication"
         )
     if any(telemetry.faults.values()):
         survived = ", ".join(f"{k}={v}" for k, v in telemetry.faults.items() if v)

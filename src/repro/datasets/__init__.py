@@ -23,25 +23,28 @@ exercise the same code paths end to end (see DESIGN.md, "Substitutions").
 DATASET_NUMERICS_VERSION = 1
 
 from repro.datasets.digits import generate_digits, render_digit
-from repro.datasets.loader import Dataset, DataSplit, train_test_split
+from repro.datasets.loader import Dataset, DataSplit, split_sizes, train_test_split
 from repro.datasets.objects import OBJECT_CLASS_NAMES, generate_objects, render_object
 from repro.registry import registry
 
 #: unified registry of dataset generators (namespace ``"dataset"``)
 DATASETS = registry("dataset")
 DATASETS.register(
-    "digits", generate_digits, metadata={"summary": "grayscale digit glyphs (MNIST substitute)"}
+    "digits",
+    generate_digits,
+    metadata={"summary": "grayscale digit glyphs (MNIST substitute)", "channels": 1},
 )
 DATASETS.register(
     "objects",
     generate_objects,
-    metadata={"summary": "3-channel shape/texture images (CIFAR-10 substitute)"},
+    metadata={"summary": "3-channel shape/texture images (CIFAR-10 substitute)", "channels": 3},
 )
 
 __all__ = [
     "DATASETS",
     "Dataset",
     "DataSplit",
+    "split_sizes",
     "train_test_split",
     "generate_digits",
     "render_digit",

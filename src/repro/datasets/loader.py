@@ -73,6 +73,12 @@ class DataSplit:
     test: Dataset
 
 
+def split_sizes(n_samples: int, test_fraction: float) -> Tuple[int, int]:
+    """``(train, test)`` sizes :func:`train_test_split` gives ``n_samples`` samples."""
+    n_test = max(1, int(round(n_samples * test_fraction)))
+    return n_samples - n_test, n_test
+
+
 def train_test_split(
     dataset: Dataset, test_fraction: float = 0.2, rng: Optional[np.random.Generator] = None
 ) -> DataSplit:
@@ -81,7 +87,7 @@ def train_test_split(
         raise ValueError("test_fraction must be in (0, 1)")
     rng = rng or np.random.default_rng(0)
     indices = rng.permutation(len(dataset))
-    n_test = max(1, int(round(len(dataset) * test_fraction)))
+    _, n_test = split_sizes(len(dataset), test_fraction)
     test_idx = indices[:n_test]
     train_idx = indices[n_test:]
     return DataSplit(

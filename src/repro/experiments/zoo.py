@@ -47,6 +47,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -54,8 +55,24 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.allocator import release_freed_memory
-from repro.datasets import Dataset, DataSplit, generate_digits, generate_objects, train_test_split
-from repro.nn import SGD, Adam, build_alexnet, build_dq_cnn, build_lenet5, train_classifier
+from repro.datasets import (
+    DATASETS,
+    Dataset,
+    DataSplit,
+    generate_digits,
+    generate_objects,
+    split_sizes,
+    train_test_split,
+)
+from repro.nn import (
+    SGD,
+    Adam,
+    build_alexnet,
+    build_dq_cnn,
+    build_lenet5,
+    forward_macs,
+    train_classifier,
+)
 from repro.nn.network import Sequential
 from repro.obs import TRACER
 from repro.parallel.locks import load_or_make
@@ -331,12 +348,17 @@ class TrainingUnit:
     parameters first (through :func:`_cached_model`) when ``path`` is
     missing.  ``after`` holds the units whose published parameters that
     training reads -- the units of every entry the recipe ``depends_on``.
+    ``cost`` is the training work the recipe declares, forward MACs per
+    sample (:func:`~repro.nn.models.forward_macs`) x training samples x
+    epochs, which the engine turns into seconds; ``None`` for an entry whose
+    recipe declares no schedule.
     """
 
     name: str
     path: Path
     resolve: Callable[[], Sequential] = field(compare=False, repr=False)
     after: Tuple["TrainingUnit", ...] = ()
+    cost: Optional[int] = field(default=None, compare=False)
 
 
 #: ``(unit name, training seconds)`` for every unit this process trained,
@@ -355,7 +377,11 @@ def zoo_units(name: str, fast: bool = False, **kwargs) -> List[TrainingUnit]:
 
 
 def _unit(
-    cache_name: str, recipe_name: str, resolve: Callable[[], Sequential], fast: bool
+    cache_name: str,
+    recipe_name: str,
+    resolve: Callable[[], Sequential],
+    fast: bool,
+    cost: Optional[int] = None,
 ) -> TrainingUnit:
     """The unit cached as ``cache_name``, tagged with ``recipe_name``'s digest."""
     after = tuple(
@@ -363,7 +389,26 @@ def _unit(
         for dep in zoo_recipe(recipe_name).get("depends_on", [])
         for unit in zoo_units(dep, fast=fast)
     )
-    return TrainingUnit(cache_name, zoo_cache_path(cache_name, recipe_name), resolve, after)
+    return TrainingUnit(cache_name, zoo_cache_path(cache_name, recipe_name), resolve, after, cost)
+
+
+def _input_shape(recipe: Dict[str, Any], fast: bool) -> Tuple[int, int, int]:
+    """The ``(C, H, W)`` of the samples ``recipe``'s dataset generates."""
+    dataset = recipe["dataset"]
+    size = dataset["fast_config" if fast else "config"]["size"]
+    return DATASETS.get(dataset["name"]).metadata["channels"], size, size
+
+
+def _recipe_cost(recipe: Dict[str, Any], build: Callable[..., Sequential], fast: bool) -> int:
+    """The cost of the model ``build(arch, input_shape)`` :func:`_train_recipe` trains."""
+    dataset, schedule = recipe["dataset"], recipe["schedule"]
+    n_samples = dataset["fast_config" if fast else "config"]["n_samples"]
+    samples, _ = split_sizes(n_samples, dataset["test_fraction"])
+    epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
+    if not fast:
+        epochs += schedule.get("fine_tune_epochs", 0)
+    shape = _input_shape(recipe, fast)
+    return forward_macs(build(recipe["arch"], shape), shape) * samples * epochs
 
 
 def _cached_model(
@@ -388,6 +433,7 @@ def _cached_model(
         with TRACER.span("zoo.train", cat="zoo", unit=unit.name):
             trainer(trained)
         TRAINED_UNITS.append((unit.name, perf_counter() - start))
+        trained.clear_caches()  # the last step's activations and patch matrices
         release_freed_memory()  # the next unit starts from what it needs
         return trained
 
@@ -430,9 +476,24 @@ def _suffix(fast: bool) -> str:
     return "_fast" if fast else ""
 
 
+def _build_lenet(arch: Dict[str, Any], input_shape: Tuple[int, int, int]) -> Sequential:
+    """The LeNet-5 a recipe's ``arch`` declares (the victim's and the substitute's)."""
+    return build_lenet5(
+        input_shape,
+        conv_channels=tuple(arch["conv_channels"]),
+        fc_sizes=tuple(arch["fc_sizes"]),
+        dropout=arch["dropout"],
+        seed=arch["seed"],
+    )
+
+
 def _lenet_unit(fast: bool) -> TrainingUnit:
     return _unit(
-        f"lenet_digits{_suffix(fast)}", "lenet_digits", lambda: lenet_digits(fast)[0], fast
+        f"lenet_digits{_suffix(fast)}",
+        "lenet_digits",
+        lambda: lenet_digits(fast)[0],
+        fast,
+        _recipe_cost(LENET_DIGITS_RECIPE, _build_lenet, fast),
     )
 
 
@@ -447,17 +508,10 @@ def _lenet_unit(fast: bool) -> TrainingUnit:
 def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact LeNet-5 trained on the synthetic digits (the paper's MNIST model)."""
     recipe = LENET_DIGITS_RECIPE
-    arch = recipe["arch"]
     split = load_digits_split(recipe["dataset"]["test_fraction"], fast=fast)
 
     def build() -> Sequential:
-        return build_lenet5(
-            split.train.input_shape,
-            conv_channels=tuple(arch["conv_channels"]),
-            fc_sizes=tuple(arch["fc_sizes"]),
-            dropout=arch["dropout"],
-            seed=arch["seed"],
-        )
+        return _build_lenet(recipe["arch"], split.train.input_shape)
 
     def train(model: Sequential) -> None:
         _train_recipe(model, recipe, split, fast)
@@ -465,9 +519,17 @@ def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     return _cached_model(_lenet_unit(fast), build, train), split
 
 
+def _build_alexnet(arch: Dict[str, Any], input_shape: Tuple[int, int, int]) -> Sequential:
+    return build_alexnet(input_shape, dropout=arch["dropout"], seed=arch["seed"])
+
+
 def _alexnet_unit(fast: bool) -> TrainingUnit:
     return _unit(
-        f"alexnet_objects{_suffix(fast)}", "alexnet_objects", lambda: alexnet_objects(fast)[0], fast
+        f"alexnet_objects{_suffix(fast)}",
+        "alexnet_objects",
+        lambda: alexnet_objects(fast)[0],
+        fast,
+        _recipe_cost(ALEXNET_OBJECTS_RECIPE, _build_alexnet, fast),
     )
 
 
@@ -482,16 +544,21 @@ def _alexnet_unit(fast: bool) -> TrainingUnit:
 def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact AlexNet trained on the synthetic objects (the paper's CIFAR-10 model)."""
     recipe = ALEXNET_OBJECTS_RECIPE
-    arch = recipe["arch"]
     split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
 
     def build() -> Sequential:
-        return build_alexnet(split.train.input_shape, dropout=arch["dropout"], seed=arch["seed"])
+        return _build_alexnet(recipe["arch"], split.train.input_shape)
 
     def train(model: Sequential) -> None:
         _train_recipe(model, recipe, split, fast)
 
     return _cached_model(_alexnet_unit(fast), build, train), split
+
+
+def _build_dq(
+    arch: Dict[str, Any], input_shape: Tuple[int, int, int], mode: str, bits: int
+) -> Sequential:
+    return build_dq_cnn(input_shape, bits=bits, mode=mode, seed=arch["seed"])
 
 
 def _dq_unit(mode: str, bits: int, fast: bool) -> TrainingUnit:
@@ -500,6 +567,7 @@ def _dq_unit(mode: str, bits: int, fast: bool) -> TrainingUnit:
         "dq_objects",
         lambda: _dq_model(mode, bits, fast),
         fast,
+        _recipe_cost(DQ_OBJECTS_RECIPE, partial(_build_dq, mode=mode, bits=bits), fast),
     )
 
 
@@ -510,9 +578,7 @@ def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = Non
         split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
 
     def build() -> Sequential:
-        return build_dq_cnn(
-            split.train.input_shape, bits=bits, mode=mode, seed=recipe["arch"]["seed"]
-        )
+        return _build_dq(recipe["arch"], split.train.input_shape, mode, bits)
 
     def train(model: Sequential) -> None:
         _train_recipe(model, recipe, split, fast)
@@ -544,11 +610,24 @@ def dq_models_objects(
 
 
 def _substitute_unit(victim: str, fast: bool) -> TrainingUnit:
+    recipe = SUBSTITUTE_DIGITS_RECIPE
+    schedule = recipe["schedule"]
+    # it trains on the queries plus one noisy copy of them per augmentation round
+    queries = recipe["queries"]["fast_n_queries" if fast else "n_queries"]
+    rounds = schedule["fast_augmentation_rounds" if fast else "augmentation_rounds"]
+    shape = _input_shape(LENET_DIGITS_RECIPE, fast)
+    cost = (
+        forward_macs(_build_lenet(recipe["arch"], shape), shape)
+        * queries
+        * (1 + rounds)
+        * schedule["fast_epochs" if fast else "epochs"]
+    )
     return _unit(
         f"substitute_{victim}_digits{_suffix(fast)}",
         "substitute_digits",
         lambda: substitute_digits(victim=victim, fast=fast),
         fast,
+        cost,
     )
 
 
@@ -572,17 +651,11 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
     from repro.nn.models import convert_to_approximate
 
     recipe = SUBSTITUTE_DIGITS_RECIPE
-    arch, schedule = recipe["arch"], recipe["schedule"]
+    schedule = recipe["schedule"]
     exact_model, split = lenet_digits(fast=fast)
 
     def build() -> Sequential:
-        return build_lenet5(
-            split.train.input_shape,
-            conv_channels=tuple(arch["conv_channels"]),
-            fc_sizes=tuple(arch["fc_sizes"]),
-            dropout=arch["dropout"],
-            seed=arch["seed"],
-        )
+        return _build_lenet(recipe["arch"], split.train.input_shape)
 
     def train(substitute: Sequential) -> None:
         victim_model = convert_to_approximate(exact_model) if victim == "da" else exact_model

@@ -46,6 +46,7 @@ from repro.nn.models import (
     build_lenet5,
     convert_to_approximate,
     convert_to_bfloat16,
+    forward_macs,
 )
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD, Adam
@@ -81,4 +82,5 @@ __all__ = [
     "build_dq_cnn",
     "convert_to_approximate",
     "convert_to_bfloat16",
+    "forward_macs",
 ]

@@ -3,7 +3,9 @@
 Each layer caches whatever it needs during ``forward`` and consumes that cache
 in ``backward``.  The cache is intentionally tied to the last forward call;
 networks are evaluated layer-by-layer in sequence (see
-:class:`repro.nn.network.Sequential`) so this matches usage.
+:class:`repro.nn.network.Sequential`) so this matches usage.  The cache lives
+in one of the attributes :data:`PER_CALL_STATE` names, which
+:meth:`Module.clear_caches` drops.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.init import he_normal, zeros
 
+
+#: the attributes in which a layer keeps one forward call's state for its
+#: backward pass
+PER_CALL_STATE = ("_cache", "_mask", "_shape")
 
 #: when False, layer backward passes compute only the *input* gradient and
 #: skip parameter-gradient accumulation.  Toggled via :func:`no_param_grads`.
@@ -125,6 +131,12 @@ class Module:
 
     def set_training(self, training: bool) -> None:
         self.training = training
+
+    def clear_caches(self) -> None:
+        """Drop what the last forward call kept for a backward pass."""
+        for name in PER_CALL_STATE:
+            if name in vars(self):
+                setattr(self, name, None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

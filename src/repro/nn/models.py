@@ -49,6 +49,29 @@ def _after_pool(size: int, kernel: int = 2) -> int:
     return size // kernel
 
 
+def forward_macs(model: Sequential, input_shape: Tuple[int, int, int]) -> int:
+    """Multiply-accumulates of one sample's forward pass through ``model``.
+
+    A convolution costs ``out_h * out_w * F * C * kh * kw``, a dense layer
+    ``in * out``; the other layers count nothing, and only convolutions and
+    max-pooling change the spatial size.
+    """
+    _, h, w = input_shape
+    total = 0
+    for layer in model.layers:
+        if isinstance(layer, Conv2d):
+            k = layer.kernel_size
+            h = conv_output_size(h, k, layer.stride, layer.padding)
+            w = conv_output_size(w, k, layer.stride, layer.padding)
+            total += h * w * layer.out_channels * layer.in_channels * k * k
+        elif isinstance(layer, MaxPool2d):
+            h = conv_output_size(h, layer.kernel_size, layer.stride, 0)
+            w = conv_output_size(w, layer.kernel_size, layer.stride, 0)
+        elif isinstance(layer, Linear):
+            total += layer.in_features * layer.out_features
+    return total
+
+
 @MODELS.register("lenet5", metadata={"summary": "LeNet-5 digit classifier"})
 def build_lenet5(
     input_shape: Tuple[int, int, int] = (1, 16, 16),

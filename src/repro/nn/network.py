@@ -57,6 +57,10 @@ class Sequential(Module):
         for layer in self.layers:
             layer.set_training(training)
 
+    def clear_caches(self) -> None:
+        for layer in self.layers:
+            layer.clear_caches()
+
     def zero_grad(self) -> None:
         for p in self.parameters():
             p.zero_grad()

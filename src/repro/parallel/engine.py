@@ -13,18 +13,29 @@ keeps at most ``jobs`` tasks in flight, so it always chooses what a free
 worker takes next (:class:`_ReadyQueue`):
 
 1. a unit another unit waits for (a LeNet before its substitutes);
-2. a shard of a cell whose experiment can now complete: every unit the
+2. the longest unstarted unit, if the asking worker would otherwise end the
+   run: a plan that puts the unstarted units, longest first, each onto the
+   earliest-free worker has it finish strictly last, so any cell it took
+   first would delay the end;
+3. a shard of a cell whose experiment can now complete: every unit the
    experiment's cells need has published;
-3. the next unit, in the order the cells request them;
-4. any other shard whose cell is ready (every unit it needs published).
+4. the cheapest ready unit (by :attr:`TrainingUnit.cost`), or, before any
+   unit has trained, the next one in the order the cells request them;
+5. any other shard whose cell is ready (every unit it needs published).
 
-So a cold run computes, and the runner writes, the results that need no
-model or only a small one while the long units train.  The parent merges
-each cell's ordered shard results, writes the artifact atomically and
-streams a progress event.  Because shard decomposition and per-shard RNG
-seeding are pure functions of cell content (:mod:`repro.parallel.sharding`),
-every ``jobs`` value produces bit-for-bit the same values, and a unit trained
-on the pool is byte-identical to one trained in-process.  Each shard and
+Rule 2 turns costs into seconds with the seconds per cost of the units this
+run has trained, and estimates when each unit in flight ends.  With one
+worker, or before any unit has trained, it never fires and rule 4 keeps
+request order.  So a cold run computes, and the runner writes, the results
+that need no model or only a small one while the long units train, and the
+last long unit starts while a worker can still finish it in time.
+
+The parent merges each cell's ordered shard results, writes the artifact
+atomically and streams a progress event.  Because shard decomposition and
+per-shard RNG seeding are pure functions of cell content
+(:mod:`repro.parallel.sharding`), every ``jobs`` value and every dispatch
+order produces bit-for-bit the same values, and a unit trained on the pool
+is byte-identical to one trained in-process.  Each shard and
 unit reports its own kernel and attack-query counter deltas, wherever it
 ran, and the run telemetry sums the reports
 (:meth:`~repro.parallel.telemetry.RunTelemetry.fold_worker`).
@@ -92,7 +103,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from time import monotonic, perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
@@ -103,6 +114,7 @@ from repro.obs import TRACER
 from repro.parallel.plan import CellOutcome, CellTask
 from repro.parallel.telemetry import DIGEST_WIDTH
 from repro.pipeline.cells import get_cell_kind, zoo_requests
+from repro.pipeline.runner import clear_layer_caches
 from repro.store import Lease
 
 #: called with (task, outcome) as each cell completes
@@ -145,7 +157,8 @@ def _shard(
     """Warm what the shard needs, then compute it; returns ``(value, seconds, report)``.
 
     ``report`` carries the shard's kernel and attack-query counter deltas,
-    which the parent folds into :class:`RunTelemetry` wherever it ran.
+    which the parent folds into :class:`RunTelemetry` wherever it ran.  The
+    memoised models drop the activations the shard left in their layers.
     """
     kernels, queries = KERNEL_STATS.snapshot(), QUERY_STATS.snapshot()
     kind = get_cell_kind(kind_name)
@@ -155,6 +168,7 @@ def _shard(
     ):
         kind.warm(runner, payload)
         value = kind.compute_shard(runner, payload, index)
+        clear_layer_caches()
     report = {"kernels": KERNEL_STATS.delta(kernels), "queries": QUERY_STATS.delta(queries)}
     return value, perf_counter() - start, report
 
@@ -275,13 +289,15 @@ class _UnitRun:
     """One zoo unit attempt in flight (units carry no deadline).
 
     ``task`` is the first cell that needs the unit, which names its failure;
-    ``local`` is set when the parent trains it.
+    ``local`` is set when the parent trains it; ``started`` is when it was
+    dispatched (monotonic).
     """
 
     name: str
     task: CellTask
     attempt: int = 0
     local: bool = False
+    started: float = 0.0
 
 
 _Run = Union[_ShardRun, _UnitRun]
@@ -351,14 +367,28 @@ class _ReadyQueue:
         self.groups = {d: [g for g in pending if d in g] or [{d}] for d in needs}
         self.parent: Set[str] = set()
 
-    def pop(self) -> Union[str, Tuple[CellTask, int], None]:
-        """The next unit name or ``(task, shard index)`` to dispatch, if any is ready."""
+    def pop(
+        self, rate: Optional[float] = None, busy: Sequence[float] = ()
+    ) -> Union[str, Tuple[CellTask, int], None]:
+        """The next unit name or ``(task, shard index)`` to dispatch, if any is ready.
+
+        ``rate`` is the run's seconds per unit of :attr:`TrainingUnit.cost`
+        (``None`` until a costed unit has trained) and ``busy`` holds, for
+        each other worker, the estimated seconds until it is free.  Without
+        both, units go in request order and the guard never fires.
+        """
         ready = [name for name in self.unit_order if not self.waits[name]]
         waited = {dep for deps in self.waits.values() for dep in deps}
         cells = [t for t in self.tasks if self.shards[t.digest] and not self.needs[t.digest]]
         for name in ready:
             if name in waited:
                 return self._unit(name)
+        if rate is not None and busy:
+            first = self._critical(rate, busy)
+            if first in ready:
+                return self._unit(first)
+            # cheapest first; units without a cost after them, in request order
+            ready.sort(key=lambda name: (self.units[name].cost is None, self.units[name].cost or 0))
         for task in cells:
             if any(all(not self.needs[d] for d in g) for g in self.groups[task.digest]):
                 return task, self.shards[task.digest].pop(0)
@@ -367,6 +397,25 @@ class _ReadyQueue:
         if cells:
             return cells[0], self.shards[cells[0].digest].pop(0)
         return None
+
+    def _critical(self, rate: float, busy: Sequence[float]) -> Optional[str]:
+        """The unit the asking worker must start now, or ``None`` if it may take cells.
+
+        Plans the costed unstarted units longest first, each onto the
+        earliest-free worker (the asking one is free now, the others after
+        ``busy`` seconds).  If the asking worker then finishes strictly last,
+        any cell it took first would delay the run's end: it starts the unit
+        the plan gives it first, the longest.
+        """
+        costed = [name for name in self.unit_order if self.units[name].cost is not None]
+        plan = sorted(costed, key=lambda name: -self.units[name].cost)
+        if not plan:
+            return None
+        free = [0.0, *busy]
+        for name in plan:
+            worker = free.index(min(free))
+            free[worker] += rate * self.units[name].cost
+        return plan[0] if free[0] > max(free[1:]) else None
 
     def _unit(self, name: str) -> str:
         self.unit_order.remove(name)
@@ -587,11 +636,21 @@ class ParallelEngine:
                         leases[digest] = fresh
                         telemetry.count_fault("lease_reacquired")
 
+        trained_s, trained_cost = 0.0, 0  # summed over the costed units this run trained
+
+        def rate() -> Optional[float]:
+            """Seconds per unit of cost, learned from the units this run trained."""
+            return trained_s / trained_cost if trained_cost else None
+
         def publish(name: str, report: Dict[str, Any]) -> None:
             """Unit ``name`` has published."""
+            nonlocal trained_s, trained_cost
             telemetry.fold_worker(report)
             telemetry.zoo_published()
             queue.publish(name)
+            if report["unit_s"] is not None and units[name].cost:
+                trained_s += report["unit_s"]
+                trained_cost += units[name].cost
 
         def to_parent(name: str) -> None:
             telemetry.count_fault("zoo_fallbacks", queue.to_parent(name))
@@ -604,7 +663,15 @@ class ParallelEngine:
         def next_run() -> Optional[_Run]:
             if requeued:
                 return requeued.pop(0)
-            item = queue.pop()
+            pace, now = rate(), monotonic()
+            busy = []  # each other worker's estimated seconds to free: a unit's, or none
+            if pace is not None:
+                for run in inflight.values():
+                    cost = units[run.name].cost if isinstance(run, _UnitRun) else None
+                    if cost is not None:
+                        busy.append(max(0.0, run.started + pace * cost - now))
+                busy += [0.0] * (workers - 1 - len(busy))
+            item = queue.pop(pace, busy)
             if item is None:
                 return None
             return _UnitRun(item, queue.needer(item)) if isinstance(item, str) else _ShardRun(*item)
@@ -612,7 +679,9 @@ class ParallelEngine:
         def start(run: _Run) -> bool:
             """Dispatch ``run`` to the pool, or run it here and now; False if the pool is broken."""
             if isinstance(run, _UnitRun):
-                telemetry.zoo_started()
+                run.started, pace, cost = monotonic(), rate(), units[run.name].cost
+                estimate = None if pace is None or cost is None else pace * cost
+                telemetry.zoo_started(run.name, cost, estimate)
                 local = run.local = pool is None or run.name in queue.parent
                 call = (_train, units[run.name]) if local else (_train_unit, run.name)
             elif not claim(run.task):

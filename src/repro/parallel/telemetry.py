@@ -93,6 +93,10 @@ class RunTelemetry:
     #: ``(unit, training seconds, pool worker pid or None)`` for each unit
     #: the run trained; ``None`` is this process
     zoo_units: List[Tuple[str, float, Optional[int]]] = field(default_factory=list)
+    #: ``unit -> (cost, estimated seconds)`` as the engine dispatched it: the
+    #: unit's :attr:`~repro.experiments.zoo.TrainingUnit.cost` and the seconds
+    #: the run's rate so far predicted (``None`` before a costed unit trained)
+    zoo_dispatched: Dict[str, Tuple[Optional[int], Optional[float]]] = field(default_factory=dict)
     #: when the run's first unit started and its last one published
     #: (``perf_counter`` seconds; ``None`` until a unit starts)
     zoo_window: Optional[List[float]] = None
@@ -140,10 +144,11 @@ class RunTelemetry:
         self.count_fault("native_fallbacks", NATIVE_STATS.delta(self.native_mark)["fallbacks"])
         self.native_mark = NATIVE_STATS.snapshot()
 
-    def zoo_started(self) -> None:
-        """A training unit starts (on the pool or in this process)."""
+    def zoo_started(self, unit: str, cost: Optional[int], estimate_s: Optional[float]) -> None:
+        """Training unit ``unit`` starts (on the pool or in this process)."""
         if self.zoo_window is None:
             self.zoo_window = [perf_counter(), perf_counter()]
+        self.zoo_dispatched[unit] = (cost, estimate_s)
 
     def zoo_published(self) -> None:
         """A training unit has published."""
@@ -206,14 +211,24 @@ class RunTelemetry:
         ``unit_s`` holds each trained unit's training seconds, wherever it
         trained, and ``worker`` the pid of the process that trained it (this
         process for the ``--jobs 1`` path and for units the pool failed to
-        publish).  ``wall_s`` spans the run's first unit start to its last
-        unit publication; cells computed meanwhile overlap it.
+        publish).  ``cost`` and ``estimate_s`` are what the schedule knew of
+        each unit when it dispatched it: its cost, and the seconds it
+        expected (``None`` before any costed unit had trained), so a cost
+        model that misranks units shows next to ``unit_s``.  ``wall_s`` spans
+        the run's first unit start to its last unit publication; cells
+        computed meanwhile overlap it.
         """
         window = self.zoo_window or [0.0, 0.0]
+        seen = {name: self.zoo_dispatched.get(name, (None, None)) for name, _, _ in self.zoo_units}
         return {
             "pool": [name for name, _, pid in self.zoo_units if pid is not None],
             "parent": [name for name, _, pid in self.zoo_units if pid is None],
             "unit_s": {name: round(seconds, 3) for name, seconds, _ in self.zoo_units},
+            "cost": {name: cost for name, (cost, _) in seen.items()},
+            "estimate_s": {
+                name: None if estimate is None else round(estimate, 3)
+                for name, (_, estimate) in seen.items()
+            },
             "worker": {name: pid or os.getpid() for name, _, pid in self.zoo_units},
             "wall_s": round(window[1] - window[0], 3),
         }

@@ -34,12 +34,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.attacks.base import Classifier
 from repro.core.results import format_table
 from repro.experiments.zoo import CACHE_DIR, ZOO
 from repro.faults import RunManifest
+from repro.nn.layers import Module
 from repro.nn.models import VARIANTS
 from repro.obs import TRACER
 from repro.parallel.locks import atomic_write_text
@@ -188,6 +189,29 @@ def clear_model_caches() -> None:
     _VARIANT_CACHE.clear()
     _SELECTION_CACHE.clear()  # victim selections are tied to the memoised models
     _WARMED.clear()  # warm-up signatures reference the memoised models too
+
+
+def _models(value: Any) -> Iterator[Module]:
+    """The models in one memo entry: a model, or tuples and dicts holding models."""
+    if isinstance(value, Module):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _models(item)
+
+
+def clear_layer_caches() -> None:
+    """Drop the activations every memoised model kept from its last forward pass.
+
+    A shard never reads what an earlier one left there, so each drops them
+    when it is done; otherwise every model and variant a process evaluated
+    would hold a batch of activations for the life of the process.
+    """
+    with _MODEL_CACHE_LOCK:  # another thread may be resolving a model
+        memos = (*_ZOO_CACHE.values(), *_VARIANT_CACHE.values())
+    for value in memos:
+        for model in _models(value):
+            model.clear_caches()
 
 
 class Runner:

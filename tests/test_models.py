@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.models import build_alexnet, build_dq_cnn, build_lenet5
+from repro.nn.models import build_alexnet, build_dq_cnn, build_lenet5, forward_macs
 
 
 def test_lenet5_forward_shape():
@@ -84,3 +84,16 @@ def test_model_parameter_counts_positive():
         build_dq_cnn((3, 16, 16)),
     ):
         assert model.num_parameters() > 1000
+
+
+def test_forward_macs_counts_conv_and_dense_multiply_accumulates():
+    model = build_lenet5((1, 16, 16), conv_channels=(12, 24), fc_sizes=(96, 64))
+    conv1 = 14 * 14 * 12 * 1 * 3 * 3  # 16x16 -> 14x14, pooled to 7x7
+    conv2 = 5 * 5 * 24 * 12 * 3 * 3  # 7x7 -> 5x5, pooled to 2x2
+    dense = 24 * 2 * 2 * 96 + 96 * 64 + 64 * 10
+    assert forward_macs(model, (1, 16, 16)) == conv1 + conv2 + dense
+    # padded convolutions keep the size; the DQ CNN's quantised layers count the same
+    quantised = build_dq_cnn((3, 32, 32), mode="full")
+    assert forward_macs(quantised, (3, 32, 32)) == forward_macs(
+        build_dq_cnn((3, 32, 32), mode="float"), (3, 32, 32)
+    )

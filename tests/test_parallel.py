@@ -33,6 +33,8 @@ from repro.pipeline import (
     Runner,
     get_cell_kind,
 )
+import repro.pipeline.runner as runner_module
+from repro.nn.layers import PER_CALL_STATE
 from repro.pipeline.cells import _seeded_attack
 from repro.pipeline.runner import clear_model_caches
 from repro.store import ArtifactStore
@@ -297,6 +299,25 @@ def test_whole_experiment_invariant_to_shard_size(tmp_path, tiny_zoo_entry):
     small = make_runner(tmp_path, "small", jobs=1, shard_size=2).run(spec)
     large = make_runner(tmp_path, "large", jobs=1, shard_size=6).run(spec)
     assert deterministic_json(small) == deterministic_json(large)
+
+
+def test_a_shard_leaves_no_activations_in_the_memoised_models(tmp_path, tiny_zoo_entry):
+    # a process keeps its models for its whole life, so each shard drops the
+    # forward activations it left in their layers
+    clear_model_caches()
+    spec = tiny_whitebox_spec(tiny_zoo_entry).replace(variants=("exact", "da"))
+    make_runner(tmp_path, jobs=1, shard_size=2).run(spec)
+    memos = (*runner_module._ZOO_CACHE.values(), *runner_module._VARIANT_CACHE.values())
+    models = [model for value in memos for model in runner_module._models(value)]
+    assert len(models) >= 2
+    kept = [
+        (type(layer).__name__, name)
+        for model in models
+        for layer in model.layers
+        for name in PER_CALL_STATE
+        if getattr(layer, name, None) is not None
+    ]
+    assert kept == []
 
 
 def test_concurrent_in_process_runs_take_turns_on_shared_models(tmp_path, tiny_zoo_entry):

@@ -6,19 +6,22 @@ or in-process at ``--jobs 1``.  The contract: pool-trained parameters are
 bit-identical to the ones a ``--jobs 1`` run trains in-process, a unit the
 pool fails to publish is trained by the parent instead (and counted), a
 warm zoo trains nothing, units and shards share one pool, no cell lease is
-held while a unit the cell needs trains, and a result that needs no unit is
-written while the units train.
+held while a unit the cell needs trains, a result that needs no unit is
+written while the units train, and the cost-aware dispatch starts the unit
+that would finish last before cells that can wait, without moving a bit.
 
 The zoo entries here are registered inside the tests and train in
 milliseconds; ``fork`` carries the registrations into the pool workers.
 """
 
 import contextlib
+import copy
 import itertools
 import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +29,13 @@ import pytest
 import repro.experiments.zoo as zoo
 import repro.parallel.engine as engine
 from repro.datasets import generate_digits, train_test_split
-from repro.experiments.zoo import ZOO, zoo_cache_path, zoo_units
+from repro.experiments.zoo import ZOO, TrainingUnit, zoo_cache_path, zoo_units
 from repro.faults import FAULTS
 from repro.nn import Adam, build_lenet5, train_classifier
+from repro.nn.layers import PER_CALL_STATE
 from repro.obs import TRACER
-from repro.parallel.plan import build_plan
-from repro.pipeline import ExperimentSpec, Runner
+from repro.parallel.plan import CellTask, build_plan
+from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, ExperimentSpec, Runner
 from repro.pipeline.runner import clear_model_caches
 from repro.store import ArtifactStore
 
@@ -40,13 +44,14 @@ needs_fork = pytest.mark.skipif(
     reason="the pool needs fork to inherit the test zoo entries",
 )
 
-#: a base entry and one whose recipe depends on it (the LeNet/substitute shape)
-BASE, DEPENDENT = "zoo_training_base", "zoo_training_dependent"
+#: a base entry and one whose recipe depends on it (the LeNet/substitute
+#: shape), and a third that depends on nothing
+BASE, DEPENDENT, OTHER = "zoo_training_base", "zoo_training_dependent", "zoo_training_other"
 
 _RUNS = itertools.count()
 
 
-def _register(name, seed, split, depends_on=(), before_training=None):
+def _register(name, seed, split, depends_on=(), before_training=None, cost=None):
     """A tiny trainable entry; ``before_training(name)`` runs where its unit trains."""
 
     def build():
@@ -61,7 +66,7 @@ def _register(name, seed, split, depends_on=(), before_training=None):
         train_classifier(model, optimizer, split.train.images, split.train.labels, epochs=2)
 
     def unit(fast=False):
-        return zoo._unit(name, name, lambda: ZOO.create(name, fast=fast)[0], fast)
+        return zoo._unit(name, name, lambda: ZOO.create(name, fast=fast)[0], fast, cost)
 
     def entry(fast=False):
         return zoo._cached_model(unit(fast), build, train), split
@@ -86,18 +91,18 @@ def tiny_zoo(tmp_path, monkeypatch):
     FAULTS.configure(None)
     clear_model_caches()
     TRACER.configure()
-    for name in (BASE, DEPENDENT):
+    for name in (BASE, DEPENDENT, OTHER):
         ZOO.unregister(name)
 
 
-def accuracy_spec():
-    """One cheap cell per tiny entry, so a run needs both units."""
+def accuracy_spec(entries=(BASE, DEPENDENT), name="zoo_training_accuracy"):
+    """One cheap cell per tiny entry, so a run needs each entry's unit."""
     columns = [
-        {"key": name, "label": name, "model": name, "variants": ["exact"], "n_samples": 8}
-        for name in (BASE, DEPENDENT)
+        {"key": entry, "label": entry, "model": entry, "variants": ["exact"], "n_samples": 8}
+        for entry in entries
     ]
     return ExperimentSpec(
-        name="zoo_training_accuracy",
+        name=name,
         kind="accuracy",
         params={"columns": columns, "rows": [{"label": "Float32", "variant": "exact"}]},
     )
@@ -251,7 +256,8 @@ def test_warm_zoo_spawns_no_training_pool(tmp_path, monkeypatch, tiny_zoo, recor
     (pool,) = recording_pool
     assert pool.submitted == ["_run_shard", "_run_shard"]  # and trained nothing
     assert runner.telemetry.zoo_training() == {
-        "pool": [], "parent": [], "unit_s": {}, "worker": {}, "wall_s": 0.0
+        "pool": [], "parent": [], "unit_s": {}, "cost": {}, "estimate_s": {}, "worker": {},
+        "wall_s": 0.0,
     }
 
 
@@ -409,3 +415,189 @@ def test_dataset_splits_are_memoised_read_only_and_cleared(tmp_path, monkeypatch
         assert len(calls) == 2  # read back from the zoo cache, not generated
     finally:
         clear_model_caches()
+
+
+def test_a_freshly_trained_unit_model_keeps_no_per_call_cache(tiny_zoo):
+    # the trim after training would otherwise leave the last step's
+    # activations and patch matrices in the heap
+    trained = len(zoo.TRAINED_UNITS)
+    model, _ = ZOO.create(BASE, fast=True)
+    assert [name for name, _ in zoo.TRAINED_UNITS[trained:]] == [BASE]
+    kept = [
+        (type(layer).__name__, name)
+        for layer in model.layers
+        for name in PER_CALL_STATE
+        if getattr(layer, name, None) is not None
+    ]
+    assert kept == []
+
+
+def test_unit_costs_rank_the_fast_zoo_by_training_work():
+    cost = {
+        unit.name: unit.cost
+        for name, kwargs in (
+            ("lenet_digits", {}),
+            ("alexnet_objects", {}),
+            ("dq_objects", {}),
+            ("substitute_digits", {"victim": "da"}),
+            ("substitute_digits", {"victim": "exact"}),
+        )
+        for unit in zoo_units(name, fast=True, **kwargs)
+    }
+    # the order of their training seconds: DQ, AlexNet, LeNet, substitute
+    assert cost["dq_full_objects_4b_fast"] == cost["dq_weight_objects_4b_fast"]
+    assert cost["dq_full_objects_4b_fast"] > cost["alexnet_objects_fast"]
+    assert cost["alexnet_objects_fast"] > cost["lenet_digits_fast"]
+    assert cost["lenet_digits_fast"] > cost["substitute_da_digits_fast"]
+    assert cost["substitute_da_digits_fast"] == cost["substitute_exact_digits_fast"]
+    # the full profile adds the fine-tune epochs: 25 + 10 against 8 fast, on
+    # 5,100 training digits against 1,700
+    (full,) = zoo_units("lenet_digits", fast=False)
+    assert full.cost * 8 * 1700 == cost["lenet_digits_fast"] * 35 * 5100
+
+
+# ---------------------------------------------------- the dispatch decisions
+LENET, ALEXNET, DQ_FULL, DQ_WEIGHT = "lenet", "alexnet", "dq_full", "dq_weight"
+SUB_EXACT, SUB_DA = "sub_exact", "sub_da"
+#: the fast zoo's unit costs in millions (the MAC count of ``TrainingUnit.cost``)
+FAST_COSTS = {
+    LENET: 1387, ALEXNET: 7671, DQ_FULL: 10923, DQ_WEIGHT: 10923, SUB_EXACT: 121, SUB_DA: 121
+}
+#: seconds per million: AlexNet ~2.3 s, a DQ unit ~3.3 s, the LeNet ~0.4 s
+RATE = 3e-4
+#: the units each of the catalog's model experiments needs
+NEEDS = {
+    "table02": {LENET},
+    "table04": {LENET, SUB_EXACT, SUB_DA},
+    "table03": {ALEXNET},
+    "table05": {ALEXNET, DQ_FULL, DQ_WEIGHT},
+}
+
+
+def fast_queue(order, costs=FAST_COSTS):
+    """A ready queue over the fast zoo's units, unpublished in request ``order``.
+
+    Each experiment of :data:`NEEDS` that needs one of them has two
+    one-shard cells; the others are done.
+    """
+
+    def unit(name):
+        after = (lenet,) if name in (SUB_EXACT, SUB_DA) else ()  # they wait for the LeNet
+        return TrainingUnit(name, Path(name), lambda: None, after, costs.get(name))
+
+    lenet = unit(LENET)
+    units = {name: lenet if name == LENET else unit(name) for name in order}
+    tasks, needs = [], {}
+    for owner, needed in NEEDS.items():
+        for cell in range(2 if needed & set(units) else 0):
+            task = CellTask("accuracy", {}, f"{owner}:{cell}", 1, owner, 1.0)
+            tasks.append(task)
+            needs[task.digest] = needed & set(units)
+    groups = [[t.digest for t in tasks if t.owner == owner] for owner in NEEDS]
+    return engine._ReadyQueue(tasks, units, needs, groups)
+
+
+def label(item):
+    """A popped unit's name, or the experiment a popped shard belongs to."""
+    return item if isinstance(item, str) or item is None else item[0].owner
+
+
+def drain(queue, rate=None, busy=()):
+    """Pop until nothing is ready; returns the labels in dispatch order."""
+    out = []
+    while (item := queue.pop(rate, busy)) is not None:
+        out.append(label(item))
+    return out
+
+
+def test_the_unit_that_would_finish_last_starts_before_cells_that_can_wait():
+    # AlexNet has published while DQ-full trains on the other worker
+    queue = fast_queue([ALEXNET, DQ_FULL, DQ_WEIGHT])
+    assert [queue.pop(), queue.pop()] == [ALEXNET, DQ_FULL]
+    queue.publish(ALEXNET)
+    # DQ-full has ~1 s left: DQ-weight, started after table03's cells, would
+    # end the run, so it starts now and the cells follow
+    assert label(copy.deepcopy(queue).pop(RATE, [5.0])) == "table03"  # slack: cells first
+    assert queue.pop(RATE, [1.0]) == DQ_WEIGHT
+    assert drain(queue, RATE, [1.0]) == ["table03", "table03"]
+
+
+def test_the_lenet_cells_go_before_either_dq_unit_while_alexnet_trains():
+    queue = fast_queue([LENET, ALEXNET, DQ_FULL, DQ_WEIGHT, SUB_EXACT, SUB_DA])
+    assert [queue.pop(), queue.pop()] == [LENET, ALEXNET]  # rule 1, then request order
+    queue.publish(LENET)
+    # AlexNet has ~2 s left: both DQ units fit beside it
+    assert drain(queue, RATE, [2.0])[:4] == ["table02", "table02", SUB_EXACT, SUB_DA]
+
+
+def test_the_substitutes_go_before_the_dq_units_in_every_request_order():
+    for order in itertools.permutations(FAST_COSTS):
+        queue = fast_queue(order)
+        assert queue.pop() == LENET  # the substitutes wait for it
+        other = queue.pop()  # the other worker's first unit, in request order
+        queue.publish(LENET)
+        after = drain(queue, RATE, [FAST_COSTS[other] * RATE - 0.4])
+        units = [name for name in after if name in FAST_COSTS]
+        assert sorted(units[:2]) == [SUB_DA, SUB_EXACT], (order, after)
+
+
+def simulate(queue, rate=None, busy=()):
+    """Pop until the queue is empty, each unit publishing as it is dispatched."""
+    out = []
+    while (item := queue.pop(rate, busy)) is not None:
+        out.append(label(item))
+        if isinstance(item, str):
+            queue.publish(item)
+    return out
+
+
+@pytest.mark.parametrize("rate, busy", [(None, [1.0]), (RATE, [])])
+def test_one_worker_or_no_trained_unit_keeps_request_order(rate, busy):
+    # rule 4 takes the next unit in request order, and rule 2 never fires
+    queue = fast_queue([ALEXNET, DQ_FULL, DQ_WEIGHT])
+    assert simulate(queue, rate, busy) == [
+        ALEXNET, "table03", "table03", DQ_FULL, DQ_WEIGHT, "table05", "table05"
+    ]
+    order = [DQ_WEIGHT, SUB_DA, LENET, ALEXNET, SUB_EXACT, DQ_FULL]
+    assert simulate(fast_queue(order), rate, busy) == simulate(fast_queue(order))
+
+
+def test_units_without_a_recipe_cost_keep_request_order():
+    order = [DQ_FULL, SUB_DA, ALEXNET, DQ_WEIGHT]
+    queue = fast_queue(order, costs={})
+    assert queue.pop() == DQ_FULL
+    queue.publish(DQ_FULL)
+    assert drain(queue, RATE, [5.0]) == [SUB_DA, ALEXNET, DQ_WEIGHT]
+
+
+@needs_fork
+def test_a_cold_pool_run_writes_the_same_bytes_in_any_experiment_order(
+    tmp_path, monkeypatch, tiny_zoo
+):
+    # costed units: once one has trained, the pool dispatches by cost
+    _register(BASE, 1, tiny_zoo, cost=20)
+    _register(DEPENDENT, 2, tiny_zoo, depends_on=[BASE], cost=1)
+    _register(OTHER, 3, tiny_zoo, cost=40)
+    specs = [
+        accuracy_spec(),
+        accuracy_spec((OTHER,), name="zoo_training_other_accuracy"),
+        "table07_energy_delay",
+    ]
+    written = []
+    for index, order in enumerate((specs, specs[::-1])):
+        zoo_dir, results = tmp_path / f"zoo{index}", tmp_path / f"results{index}"
+        monkeypatch.setattr(zoo, "CACHE_DIR", zoo_dir)
+        clear_model_caches()
+        cells = tmp_path / f"cells{index}"
+        runner = Runner(fast=True, cache_dir=cells, results_dir=results, jobs=2)
+        runner.run_many(order)
+        assert sorted(runner.telemetry.zoo_training()["pool"]) == sorted([BASE, DEPENDENT, OTHER])
+        outputs = {}
+        for name in ("zoo_training_accuracy", "zoo_training_other_accuracy", specs[2]):
+            result = json.loads((results / f"{name}.json").read_text())
+            outputs[name] = {
+                k: v for k, v in result.items() if k not in NONDETERMINISTIC_RESULT_FIELDS
+            }
+        written.append((outputs, npz_arrays(zoo_dir)))
+    assert len(written[0][1]) == 3
+    assert written[0] == written[1]
