@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs/source consistency lint (CI's docs-lint job).
 
-Two checks, both two-way where that makes sense:
+Three checks, two-way where that makes sense:
 
 1. **Environment variables** -- every ``REPRO_*`` name read anywhere in
    ``src/`` or ``benchmarks/`` must be documented in
@@ -11,6 +11,10 @@ Two checks, both two-way where that makes sense:
 2. **Dead relative links** -- every relative markdown link in ``docs/*.md``
    and ``README.md`` must point at a file that exists (``#anchors`` are
    stripped; absolute URLs are ignored).
+
+3. **Markdown files named in the source** -- every ``*.md`` path a comment
+   or docstring under ``src/`` names (``docs/caching.md``) must resolve from
+   the repository root.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.  No
 dependencies beyond the standard library, so it runs anywhere CI does:
@@ -34,6 +38,9 @@ ENV_RE = re.compile(r"REPRO_[A-Z]+(?:_[A-Z]+)*")
 
 #: inline markdown links: [text](target) -- images share the syntax
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: a markdown file named in source text, with its directories
+MD_PATH_RE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def source_env_vars() -> dict:
@@ -92,8 +99,21 @@ def check_links() -> list:
     return errors
 
 
+def check_source_md_paths() -> list:
+    errors = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for number, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
+            for match in MD_PATH_RE.finditer(line):
+                if not (REPO / match.group()).exists():
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{number}: names {match.group()}, "
+                        "which is not in the repository"
+                    )
+    return errors
+
+
 def main() -> int:
-    errors = check_env_vars() + check_links()
+    errors = check_env_vars() + check_links() + check_source_md_paths()
     for error in errors:
         print(f"docs-lint: {error}", file=sys.stderr)
     if errors:

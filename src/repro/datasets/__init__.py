@@ -12,7 +12,7 @@ classification, pixel intensities normalised to ``[0, 1]``:
 
 The defense under study depends only on convolution/filter correlation
 statistics, not on the particular natural-image corpus, so these substitutes
-exercise the same code paths end to end (see DESIGN.md, "Substitutions").
+exercise the same code paths end to end.
 """
 
 #: numerics version of the procedural dataset generators.  Bump when the

@@ -8,18 +8,19 @@ variable), and every experiment / example reuses them.
 
 The configurations here are the calibrated "paper models" of this
 reproduction: they reach high clean accuracy and, once converted to DA, lose
-only a small amount of it (see EXPERIMENTS.md).  Each entry also has a *fast*
-profile (``fast=True``) -- a smaller dataset and shorter training schedule,
-cached separately -- used by ``python -m repro run <experiment> --fast`` and
-the CI smoke test.
+only a small amount of it (the catalog's paper claims check both).  Each
+entry also has a *fast* profile (``fast=True``) -- a smaller dataset and
+shorter training schedule, cached separately -- used by
+``python -m repro run <experiment> --fast`` and the CI smoke test.
 
-Every entry declares its full **training recipe** as a plain dict -- the
-architecture, optimizer, schedule and dataset configuration its trainer
-actually reads -- registered as the entry's ``"recipe"`` metadata.  The
-recipe, together with the model/dataset numerics versions, digests into the
-entry's cache filename (:func:`zoo_cache_path`): change a recipe and only
-*that* entry's ``.npz`` files go stale and retrain, while every other model
-keeps its cache.  The same digest is the entry's ``zoo:<name>`` fingerprint
+Every entry *is* its **training recipe**, a plain dict registered as the
+entry's ``"recipe"`` metadata: the architecture (the ``"model"`` registry
+builder its ``arch.builder`` names, with that builder's arguments), the
+optimizer or query budget, the schedule and the dataset.  The recipe,
+together with the model/dataset numerics versions, digests into the entry's
+cache filename (:func:`zoo_cache_path`): change a recipe and only *that*
+entry's ``.npz`` files go stale and retrain, while every other model keeps
+its cache.  The same digest is the entry's ``zoo:<name>`` fingerprint
 surface (:mod:`repro.pipeline.fingerprints`), so grid cells that evaluated
 the old model re-key in the same stroke.  This replaced the global
 ``ZOO_NUMERICS_VERSION`` filename tag -- see ``docs/caching.md``.
@@ -28,11 +29,15 @@ Each cached ``.npz`` is one **training unit** (:class:`TrainingUnit`),
 declared as the entry's ``"units"`` metadata: ``lenet_digits`` and
 ``alexnet_objects`` have one each, ``dq_objects`` its full and weight-only
 models, ``substitute_digits`` one per victim (waiting for ``lenet_digits``,
-which its recipe ``depends_on``).  A run schedules the missing units of a
-cold zoo on the same queue as its cells (:mod:`repro.parallel.engine`): a
-``--jobs N`` run trains them on its one worker pool, next to the cells that
-need none of them.  Every unit publishes through the same lock and atomic
-write, so pool, parent and foreign processes never train one twice.
+which its recipe ``depends_on``).  One constructor, :func:`recipe_unit`,
+reads each unit off its recipe -- name, path, cost, model builder, trainer
+and the units it waits for -- and a unit loads or trains itself
+(:meth:`TrainingUnit.resolve`).  The registered factories are views over
+their units.  A run schedules the missing units of a cold zoo on the same
+queue as its cells (:mod:`repro.parallel.engine`): a ``--jobs N`` run
+trains them on its one worker pool, next to the cells that need none of
+them.  Every unit publishes through the same lock and atomic write, so
+pool, parent and foreign processes never train one twice.
 
 The dataset splits the entries train on are cached the same way, under
 ``splits/`` (:func:`split_cache_path`): generated once per cache directory,
@@ -64,15 +69,8 @@ from repro.datasets import (
     split_sizes,
     train_test_split,
 )
-from repro.nn import (
-    SGD,
-    Adam,
-    build_alexnet,
-    build_dq_cnn,
-    build_lenet5,
-    forward_macs,
-    train_classifier,
-)
+from repro.nn import SGD, Adam, convert_to_approximate, forward_macs, train_classifier
+from repro.nn.models import MODELS
 from repro.nn.network import Sequential
 from repro.obs import TRACER
 from repro.parallel.locks import load_or_make
@@ -97,8 +95,9 @@ OBJECTS_CONFIG_FAST = {"n_samples": 1200, "size": 32, "seed": 2}
 
 # ----------------------------------------------------------------- recipes
 # One dict per zoo entry, the single source of truth for its training
-# configuration: the builders and trainers below read these values, and the
-# recipe digests into the entry's cache filename and fingerprint surface.
+# configuration: recipe_unit reads its builder, cost and trainer off these
+# values, and the recipe digests into the entry's cache filename and
+# fingerprint surface.
 # Editing a number here therefore *is* the invalidation: the stale .npz is
 # simply never looked up again.
 
@@ -344,26 +343,52 @@ def load_objects_split(test_fraction: float = 0.2, fast: bool = False) -> DataSp
 class TrainingUnit:
     """One cached ``.npz`` of the zoo: the piece of training the engine schedules.
 
-    ``resolve()`` returns the unit's model, training and publishing its
-    parameters first (through :func:`_cached_model`) when ``path`` is
-    missing.  ``after`` holds the units whose published parameters that
-    training reads -- the units of every entry the recipe ``depends_on``.
-    ``cost`` is the training work the recipe declares, forward MACs per
-    sample (:func:`~repro.nn.models.forward_macs`) x training samples x
-    epochs, which the engine turns into seconds; ``None`` for an entry whose
-    recipe declares no schedule.
+    :func:`recipe_unit` reads every field off a zoo entry's recipe.
+    ``after`` holds the units whose published parameters training reads --
+    the units of every entry the recipe ``depends_on``.  ``cost`` is the
+    training work the recipe declares, forward MACs per sample
+    (:func:`~repro.nn.models.forward_macs`) x training samples x epochs,
+    which the engine turns into seconds.  ``build`` makes the unit's
+    untrained model and ``train`` trains one in place.
     """
 
     name: str
     path: Path
-    resolve: Callable[[], Sequential] = field(compare=False, repr=False)
     after: Tuple["TrainingUnit", ...] = ()
     cost: Optional[int] = field(default=None, compare=False)
+    build: Optional[Callable[[], Sequential]] = field(default=None, compare=False, repr=False)
+    train: Optional[Callable[[Sequential], None]] = field(default=None, compare=False, repr=False)
 
+    def resolve(self) -> Tuple[Sequential, Optional[float]]:
+        """The unit's model with its cached parameters, and its training seconds.
 
-#: ``(unit name, training seconds)`` for every unit this process trained,
-#: in order; run telemetry reads the delta to report where training ran
-TRAINED_UNITS: List[Tuple[str, float]] = []
+        A missing ``path`` is trained and published first, and the seconds
+        are ``None`` when the parameters were only loaded.
+        :func:`~repro.parallel.locks.load_or_make` trains each unit once per
+        cache directory, however many processes want it; a file whose arrays
+        no longer fit the architecture is retrained.
+        """
+        model = self.build()
+        seconds: Optional[float] = None
+
+        def load(path: Path) -> Sequential:
+            with TRACER.span("zoo.load", cat="zoo", unit=self.name):
+                model.load(str(path))
+            return model
+
+        def make() -> Sequential:
+            nonlocal seconds
+            trained = self.build()  # a failed load may have filled some parameters
+            start = perf_counter()
+            with TRACER.span("zoo.train", cat="zoo", unit=self.name):
+                self.train(trained)
+            seconds = perf_counter() - start
+            trained.clear_caches()  # the last step's activations and patch matrices
+            release_freed_memory()  # the next unit starts from what it needs
+            return trained
+
+        resolved = load_or_make(self.path, load, make, lambda model, tmp: model.save(str(tmp)))
+        return resolved, seconds
 
 
 def zoo_units(name: str, fast: bool = False, **kwargs) -> List[TrainingUnit]:
@@ -376,68 +401,89 @@ def zoo_units(name: str, fast: bool = False, **kwargs) -> List[TrainingUnit]:
     return list(declare(fast=fast, **kwargs)) if declare is not None else []
 
 
-def _unit(
-    cache_name: str,
-    recipe_name: str,
-    resolve: Callable[[], Sequential],
-    fast: bool,
-    cost: Optional[int] = None,
+def _profile(config: Dict[str, Any], key: str, fast: bool) -> Any:
+    """``config[key]``, or its ``fast_<key>`` twin on the fast profile."""
+    return config[f"fast_{key}" if fast else key]
+
+
+#: the split loader of each dataset a recipe names
+_SPLIT_LOADERS: Dict[str, Callable[..., DataSplit]] = {
+    "digits": load_digits_split,
+    "objects": load_objects_split,
+}
+
+
+def _split(dataset: Dict[str, Any], fast: bool) -> DataSplit:
+    """The split a recipe's ``dataset`` declares (cached, memoised)."""
+    return _SPLIT_LOADERS[dataset["name"]](dataset["test_fraction"], fast=fast)
+
+
+def recipe_unit(
+    entry: str, fast: bool, stem: Optional[str] = None, victim: Optional[str] = None, **arch: Any
 ) -> TrainingUnit:
-    """The unit cached as ``cache_name``, tagged with ``recipe_name``'s digest."""
+    """The unit of zoo entry ``entry`` cached as ``stem`` (default: the entry's name).
+
+    Everything is read off the entry's recipe.  The model is the ``"model"``
+    registry builder that ``arch.builder`` names, called with the other
+    ``arch`` fields (but ``modes``, which lists an entry's units) and
+    ``arch``'s overrides (a DQ unit's ``mode`` and ``bits``), on the samples
+    of the recipe's dataset -- or of its ``depends_on`` entry's, for a
+    recipe that declares none.  A recipe with an ``optimizer`` trains
+    through :func:`_train_recipe` on its split; a recipe with ``queries``
+    distills its model from the one unit it waits for, resolved only then:
+    that exact victim, or its DA conversion when ``victim`` is ``"da"``.
+    """
+    recipe = zoo_recipe(entry)
+    name = (stem or entry) + _suffix(fast)
     after = tuple(
-        unit
-        for dep in zoo_recipe(recipe_name).get("depends_on", [])
-        for unit in zoo_units(dep, fast=fast)
+        unit for dep in recipe.get("depends_on", []) for unit in zoo_units(dep, fast=fast)
     )
-    return TrainingUnit(cache_name, zoo_cache_path(cache_name, recipe_name), resolve, after, cost)
-
-
-def _input_shape(recipe: Dict[str, Any], fast: bool) -> Tuple[int, int, int]:
-    """The ``(C, H, W)`` of the samples ``recipe``'s dataset generates."""
-    dataset = recipe["dataset"]
-    size = dataset["fast_config" if fast else "config"]["size"]
-    return DATASETS.get(dataset["name"]).metadata["channels"], size, size
-
-
-def _recipe_cost(recipe: Dict[str, Any], build: Callable[..., Sequential], fast: bool) -> int:
-    """The cost of the model ``build(arch, input_shape)`` :func:`_train_recipe` trains."""
-    dataset, schedule = recipe["dataset"], recipe["schedule"]
-    n_samples = dataset["fast_config" if fast else "config"]["n_samples"]
-    samples, _ = split_sizes(n_samples, dataset["test_fraction"])
-    epochs = schedule["fast_epochs"] if fast else schedule["epochs"]
+    dataset = recipe.get("dataset") or zoo_recipe(recipe["depends_on"][0])["dataset"]
+    size = _profile(dataset, "config", fast)["size"]
+    shape = (DATASETS.get(dataset["name"]).metadata["channels"], size, size)
+    args = {key: value for key, value in recipe["arch"].items() if key not in ("builder", "modes")}
+    build = partial(MODELS.create, recipe["arch"]["builder"], input_shape=shape, **{**args, **arch})
+    schedule = recipe["schedule"]
+    epochs = _profile(schedule, "epochs", fast)
     if not fast:
         epochs += schedule.get("fine_tune_epochs", 0)
-    shape = _input_shape(recipe, fast)
-    return forward_macs(build(recipe["arch"], shape), shape) * samples * epochs
 
+    if "queries" in recipe:
+        n_queries = _profile(recipe["queries"], "n_queries", fast)
+        rounds = _profile(schedule, "augmentation_rounds", fast)
+        # the queries plus one noisy copy of them per augmentation round
+        samples = n_queries * (1 + rounds)
 
-def _cached_model(
-    unit: TrainingUnit, builder: Callable[[], Sequential], trainer: Callable[[Sequential], None]
-) -> Sequential:
-    """A unit's model with its cached parameters, trained and published first if missing.
+        def train(substitute: Sequential) -> None:
+            from repro.core.substitute import train_substitute  # lazy: avoids a cycle
 
-    :func:`~repro.parallel.locks.load_or_make` trains each unit once per
-    cache directory, however many processes want it; a file whose arrays no
-    longer fit the architecture is retrained.
-    """
-    model = builder()
+            (victim_unit,) = after
+            exact, _ = victim_unit.resolve()
+            model = convert_to_approximate(exact) if victim == "da" else exact
+            train_substitute(
+                model.predict,
+                _split(dataset, fast).train.images[:n_queries],
+                build_model=lambda: substitute,
+                epochs=epochs,
+                augmentation_rounds=rounds,
+                seed=schedule["seed"],
+            )
 
-    def load(path: Path) -> Sequential:
-        with TRACER.span("zoo.load", cat="zoo", unit=unit.name):
-            model.load(str(path))
-        return model
+    else:
+        n_samples = _profile(dataset, "config", fast)["n_samples"]
+        samples, _ = split_sizes(n_samples, dataset["test_fraction"])
 
-    def train() -> Sequential:
-        trained = builder()  # a failed load may have filled some parameters
-        start = perf_counter()
-        with TRACER.span("zoo.train", cat="zoo", unit=unit.name):
-            trainer(trained)
-        TRAINED_UNITS.append((unit.name, perf_counter() - start))
-        trained.clear_caches()  # the last step's activations and patch matrices
-        release_freed_memory()  # the next unit starts from what it needs
-        return trained
+        def train(model: Sequential) -> None:
+            _train_recipe(model, recipe, _split(dataset, fast), fast)
 
-    return load_or_make(unit.path, load, train, lambda model, tmp: model.save(str(tmp)))
+    return TrainingUnit(
+        name=name,
+        path=zoo_cache_path(name, entry),
+        after=after,
+        cost=forward_macs(build(), shape) * samples * epochs,
+        build=build,
+        train=train,
+    )
 
 
 #: the optimizers a recipe's ``optimizer.kind`` names
@@ -466,7 +512,7 @@ def _train_recipe(model: Sequential, recipe: Dict[str, Any], split: DataSplit, f
             batch_size=schedule["batch_size"],
         )
 
-    fit(schedule["fast_epochs"] if fast else schedule["epochs"])
+    fit(_profile(schedule, "epochs", fast))
     if not fast and "fine_tune_epochs" in schedule:
         optimizer.lr = schedule["fine_tune_lr"]
         fit(schedule["fine_tune_epochs"])
@@ -476,25 +522,9 @@ def _suffix(fast: bool) -> str:
     return "_fast" if fast else ""
 
 
-def _build_lenet(arch: Dict[str, Any], input_shape: Tuple[int, int, int]) -> Sequential:
-    """The LeNet-5 a recipe's ``arch`` declares (the victim's and the substitute's)."""
-    return build_lenet5(
-        input_shape,
-        conv_channels=tuple(arch["conv_channels"]),
-        fc_sizes=tuple(arch["fc_sizes"]),
-        dropout=arch["dropout"],
-        seed=arch["seed"],
-    )
-
-
-def _lenet_unit(fast: bool) -> TrainingUnit:
-    return _unit(
-        f"lenet_digits{_suffix(fast)}",
-        "lenet_digits",
-        lambda: lenet_digits(fast)[0],
-        fast,
-        _recipe_cost(LENET_DIGITS_RECIPE, _build_lenet, fast),
-    )
+def _models(entry: str, fast: bool, **kwargs: Any) -> List[Sequential]:
+    """The models of ``entry``'s units, each loaded, or trained and published first."""
+    return [unit.resolve()[0] for unit in zoo_units(entry, fast=fast, **kwargs)]
 
 
 @ZOO.register(
@@ -502,35 +532,13 @@ def _lenet_unit(fast: bool) -> TrainingUnit:
     metadata={
         "summary": "exact LeNet-5 on the digit dataset",
         "recipe": LENET_DIGITS_RECIPE,
-        "units": lambda fast=False: [_lenet_unit(fast)],
+        "units": lambda fast=False: [recipe_unit("lenet_digits", fast)],
     },
 )
 def lenet_digits(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact LeNet-5 trained on the synthetic digits (the paper's MNIST model)."""
-    recipe = LENET_DIGITS_RECIPE
-    split = load_digits_split(recipe["dataset"]["test_fraction"], fast=fast)
-
-    def build() -> Sequential:
-        return _build_lenet(recipe["arch"], split.train.input_shape)
-
-    def train(model: Sequential) -> None:
-        _train_recipe(model, recipe, split, fast)
-
-    return _cached_model(_lenet_unit(fast), build, train), split
-
-
-def _build_alexnet(arch: Dict[str, Any], input_shape: Tuple[int, int, int]) -> Sequential:
-    return build_alexnet(input_shape, dropout=arch["dropout"], seed=arch["seed"])
-
-
-def _alexnet_unit(fast: bool) -> TrainingUnit:
-    return _unit(
-        f"alexnet_objects{_suffix(fast)}",
-        "alexnet_objects",
-        lambda: alexnet_objects(fast)[0],
-        fast,
-        _recipe_cost(ALEXNET_OBJECTS_RECIPE, _build_alexnet, fast),
-    )
+    (model,) = _models("lenet_digits", fast)
+    return model, _split(LENET_DIGITS_RECIPE["dataset"], fast)
 
 
 @ZOO.register(
@@ -538,52 +546,13 @@ def _alexnet_unit(fast: bool) -> TrainingUnit:
     metadata={
         "summary": "exact AlexNet on the object dataset",
         "recipe": ALEXNET_OBJECTS_RECIPE,
-        "units": lambda fast=False: [_alexnet_unit(fast)],
+        "units": lambda fast=False: [recipe_unit("alexnet_objects", fast)],
     },
 )
 def alexnet_objects(fast: bool = False) -> Tuple[Sequential, DataSplit]:
     """Exact AlexNet trained on the synthetic objects (the paper's CIFAR-10 model)."""
-    recipe = ALEXNET_OBJECTS_RECIPE
-    split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
-
-    def build() -> Sequential:
-        return _build_alexnet(recipe["arch"], split.train.input_shape)
-
-    def train(model: Sequential) -> None:
-        _train_recipe(model, recipe, split, fast)
-
-    return _cached_model(_alexnet_unit(fast), build, train), split
-
-
-def _build_dq(
-    arch: Dict[str, Any], input_shape: Tuple[int, int, int], mode: str, bits: int
-) -> Sequential:
-    return build_dq_cnn(input_shape, bits=bits, mode=mode, seed=arch["seed"])
-
-
-def _dq_unit(mode: str, bits: int, fast: bool) -> TrainingUnit:
-    return _unit(
-        f"dq_{mode}_objects_{bits}b{_suffix(fast)}",
-        "dq_objects",
-        lambda: _dq_model(mode, bits, fast),
-        fast,
-        _recipe_cost(DQ_OBJECTS_RECIPE, partial(_build_dq, mode=mode, bits=bits), fast),
-    )
-
-
-def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = None) -> Sequential:
-    """One Defensive Quantization model (``mode`` is ``"full"`` or ``"weight"``)."""
-    recipe = DQ_OBJECTS_RECIPE
-    if split is None:
-        split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
-
-    def build() -> Sequential:
-        return _build_dq(recipe["arch"], split.train.input_shape, mode, bits)
-
-    def train(model: Sequential) -> None:
-        _train_recipe(model, recipe, split, fast)
-
-    return _cached_model(_dq_unit(mode, bits, fast), build, train)
+    (model,) = _models("alexnet_objects", fast)
+    return model, _split(ALEXNET_OBJECTS_RECIPE["dataset"], fast)
 
 
 @ZOO.register(
@@ -592,7 +561,8 @@ def _dq_model(mode: str, bits: int, fast: bool, split: Optional[DataSplit] = Non
         "summary": "Defensive Quantization models on the objects",
         "recipe": DQ_OBJECTS_RECIPE,
         "units": lambda fast=False, bits=4: [
-            _dq_unit(mode, bits, fast) for mode in DQ_OBJECTS_RECIPE["arch"]["modes"]
+            recipe_unit("dq_objects", fast, f"dq_{mode}_objects_{bits}b", mode=mode, bits=bits)
+            for mode in DQ_OBJECTS_RECIPE["arch"]["modes"]
         ],
     },
 )
@@ -604,31 +574,8 @@ def dq_models_objects(
     Returns a dict with keys ``"full"`` and ``"weight"``.
     """
     recipe = DQ_OBJECTS_RECIPE
-    split = load_objects_split(recipe["dataset"]["test_fraction"], fast=fast)
-    models = {mode: _dq_model(mode, bits, fast, split) for mode in recipe["arch"]["modes"]}
-    return models, split
-
-
-def _substitute_unit(victim: str, fast: bool) -> TrainingUnit:
-    recipe = SUBSTITUTE_DIGITS_RECIPE
-    schedule = recipe["schedule"]
-    # it trains on the queries plus one noisy copy of them per augmentation round
-    queries = recipe["queries"]["fast_n_queries" if fast else "n_queries"]
-    rounds = schedule["fast_augmentation_rounds" if fast else "augmentation_rounds"]
-    shape = _input_shape(LENET_DIGITS_RECIPE, fast)
-    cost = (
-        forward_macs(_build_lenet(recipe["arch"], shape), shape)
-        * queries
-        * (1 + rounds)
-        * schedule["fast_epochs" if fast else "epochs"]
-    )
-    return _unit(
-        f"substitute_{victim}_digits{_suffix(fast)}",
-        "substitute_digits",
-        lambda: substitute_digits(victim=victim, fast=fast),
-        fast,
-        cost,
-    )
+    models = _models("dq_objects", fast, bits=bits)
+    return dict(zip(recipe["arch"]["modes"], models)), _split(recipe["dataset"], fast)
 
 
 @ZOO.register(
@@ -636,7 +583,9 @@ def _substitute_unit(victim: str, fast: bool) -> TrainingUnit:
     metadata={
         "summary": "black-box substitute trained from a digit victim's queries",
         "recipe": SUBSTITUTE_DIGITS_RECIPE,
-        "units": lambda fast=False, victim="da": [_substitute_unit(victim, fast)],
+        "units": lambda fast=False, victim="da": [
+            recipe_unit("substitute_digits", fast, f"substitute_{victim}_digits", victim=victim)
+        ],
     },
 )
 def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
@@ -645,30 +594,7 @@ def substitute_digits(victim: str = "da", fast: bool = False) -> Sequential:
     ``victim`` selects the model whose query responses train the substitute:
     ``"exact"`` for the exact LeNet, ``"da"`` for its Defensive Approximation
     conversion.  The substitute's parameters are cached on disk next to the
-    zoo models.
+    zoo models; the LeNet is resolved only when the substitute trains.
     """
-    from repro.core.substitute import train_substitute
-    from repro.nn.models import convert_to_approximate
-
-    recipe = SUBSTITUTE_DIGITS_RECIPE
-    schedule = recipe["schedule"]
-    exact_model, split = lenet_digits(fast=fast)
-
-    def build() -> Sequential:
-        return _build_lenet(recipe["arch"], split.train.input_shape)
-
-    def train(substitute: Sequential) -> None:
-        victim_model = convert_to_approximate(exact_model) if victim == "da" else exact_model
-        n_queries = recipe["queries"]["fast_n_queries" if fast else "n_queries"]
-        train_substitute(
-            victim_model.predict,
-            split.train.images[:n_queries],
-            build_model=lambda: substitute,
-            epochs=schedule["fast_epochs"] if fast else schedule["epochs"],
-            augmentation_rounds=schedule[
-                "fast_augmentation_rounds" if fast else "augmentation_rounds"
-            ],
-            seed=schedule["seed"],
-        )
-
-    return _cached_model(_substitute_unit(victim, fast), build, train)
+    (model,) = _models("substitute_digits", fast, victim=victim)
+    return model

@@ -7,7 +7,7 @@ ADS.  No circuit simulator is available offline, so this package provides an
 analytical gate-count model: every adder cell contributes energy proportional
 to its transistor count and delay along the array's critical path proportional
 to its relative cell delay.  The model reproduces the *normalised ratios* the
-paper reports (see DESIGN.md, "Substitutions").
+paper reports.
 """
 
 #: version of the analytical gate-count cost model.  Bump when transistor

@@ -141,8 +141,7 @@ class ApproxConv2d(_KernelHolder, Conv2d):
             # the activation patch drives the multiplicand port and the weight
             # drives the multiplier port of the array multiplier; with the
             # AMA5 array this is the operand assignment that keeps the clean
-            # accuracy of the approximate classifier closest to the exact one
-            # (see DESIGN.md, "Key design decisions").
+            # accuracy of the approximate classifier closest to the exact one.
             out[start:stop] = kernel(cols[start:stop], w_mat, weight_version=version)
         out += self.bias.value.reshape(1, f, 1)
         return out.reshape(n, f, out_h, out_w).astype(np.float32)

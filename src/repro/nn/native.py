@@ -53,9 +53,10 @@ Fallback: with no ``cc`` on ``PATH``, a failed build or load, or the
 ``NATIVE_STATS.fallbacks``, keeps the numpy
 conv/pool/BatchNorm/activation functions and gives approximate layers the
 reference GEMM kernel -- the same bytes, only slower.  The process resolves
-the backend once (:data:`BACKEND`); the parallel engine resolves it before
-it forks a pool, so workers inherit the loaded library (or the fallback
-decision).
+the backend once (:data:`BACKEND`), and first runs the loaded OpenBLAS on
+one thread (:func:`repro.allocator.use_one_blas_thread`); the parallel
+engine resolves it before it forks a pool, so workers inherit the loaded
+library (or the fallback decision) and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.allocator import use_one_blas_thread
 from repro.counters import ProcessCounters
 
 #: declarations both translation units start with
@@ -1102,6 +1104,7 @@ class NativeBackend:
     def _resolve(self) -> Optional[Kernels]:
         from repro.faults import FAULTS, InjectedFault
 
+        use_one_blas_thread()  # every process that computes resolves its backend first
         directory = Path(self.directory) if self.directory is not None else default_directory()
         try:
             FAULTS.maybe_raise("kernel.build_fail", FAULT_KEY)

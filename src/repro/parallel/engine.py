@@ -46,7 +46,7 @@ variants and primes their GEMM kernels, whose multiplier tables it reads
 from the zoo cache (:func:`repro.arith.fpm.lut_cache_path`).  Before the
 pool forks, the parent builds or loads the native kernels
 (:mod:`repro.nn.native`), so every worker inherits the loaded library, or
-the numpy fallback decision, instead of resolving its own.
+the numpy fallback decision, and the one-thread BLAS setting.
 
 Coordination with *other* processes -- pool workers of a second CLI
 invocation or service job sharing the cache directory -- uses the writer
@@ -107,7 +107,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 from repro.arith.kernels import KERNEL_STATS
 from repro.attacks.base import QUERY_STATS
-from repro.experiments.zoo import TRAINED_UNITS, TrainingUnit, zoo_units
+from repro.experiments.zoo import TrainingUnit, zoo_units
 from repro.faults import FAULTS, POOL_RESPAWN_LIMIT, backoff_seconds, shard_retries, shard_timeout
 from repro.nn import native
 from repro.obs import TRACER
@@ -178,21 +178,13 @@ def _train(unit: TrainingUnit) -> Dict[str, Any]:
 
     The report names the unit, its training seconds (``None`` if it was only
     loaded) and its kernel-counter delta (a DA-victim substitute calls the
-    approximate kernels while it trains).  Only the unit's own entries of
-    :data:`TRAINED_UNITS` count, so a unit another thread trains meanwhile
-    cannot leak in.  Training takes no :data:`_SHARD_LOCK`, so kernel calls
-    another thread's shards make while a unit trains in the parent count in
-    both reports.
+    approximate kernels while it trains).  Training takes no
+    :data:`_SHARD_LOCK`, so kernel calls another thread's shards make while
+    a unit trains in the parent count in both reports.
     """
-    trained = len(TRAINED_UNITS)
     kernels = KERNEL_STATS.snapshot()
-    unit.resolve()
-    seconds = [s for name, s in TRAINED_UNITS[trained:] if name == unit.name]
-    return {
-        "unit": unit.name,
-        "unit_s": sum(seconds) if seconds else None,
-        "kernels": KERNEL_STATS.delta(kernels),
-    }
+    _, seconds = unit.resolve()
+    return {"unit": unit.name, "unit_s": seconds, "kernels": KERNEL_STATS.delta(kernels)}
 
 
 def _locked_shard(

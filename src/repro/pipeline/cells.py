@@ -330,7 +330,9 @@ def _warm_model(runner, payload: Dict[str, Any], variants: List[str]) -> None:
         spec = _payload_spec(payload)
         for variant in variants:
             if not variant.startswith("dq_"):  # DQ models came from the dq_zoo above
-                prime_gemm_kernels(runner.resolve_variant(spec, variant))
+                model = runner.resolve_variant(spec, variant)
+                with TRACER.span("kernel.prime", cat="kernel", variant=variant):
+                    prime_gemm_kernels(model)
     _WARMED.add(key)
 
 

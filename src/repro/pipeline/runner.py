@@ -600,7 +600,10 @@ class Runner:
             with _MODEL_CACHE_LOCK:
                 if key not in _VARIANT_CACHE:
                     base, _split = self.zoo(spec.model)
-                    _VARIANT_CACHE[key] = VARIANTS.create(variant, model=base)
+                    with TRACER.span(
+                        "variant.convert", cat="runner", model=spec.model, variant=variant
+                    ):
+                        _VARIANT_CACHE[key] = VARIANTS.create(variant, model=base)
         return _VARIANT_CACHE[key]
 
     def classifier(self, spec: ExperimentSpec, variant: str) -> Classifier:

@@ -8,6 +8,7 @@ a kernel tweak recomputes approximate-arithmetic cells while clean-accuracy
 and dataset cells stay warm.
 """
 
+import importlib.util
 import json
 import multiprocessing
 import subprocess
@@ -302,3 +303,20 @@ def test_docs_lint_passes():
         [sys.executable, str(script)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_docs_lint_flags_a_markdown_file_the_source_names_but_lacks(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "docs_lint.py"
+    spec = importlib.util.spec_from_file_location("docs_lint", script)
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "caching.md").write_text("# caching\n")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '"""Keyed as docs/caching.md says.\n\nSee DESIGN.md, "Substitutions"."""\n'
+    )
+    monkeypatch.setattr(lint, "REPO", tmp_path)
+    assert lint.check_source_md_paths() == [
+        "src/pkg/mod.py:3: names DESIGN.md, which is not in the repository"
+    ]

@@ -18,6 +18,7 @@ from repro.obs import TRACER, Histogram, MetricsRenderer
 from repro.obs.timeline import chrome_trace, load_spans, summarize
 from repro.obs.trace import _NULL_SPAN
 from repro.pipeline import ExperimentSpec, Runner
+from repro.pipeline.runner import clear_model_caches
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -190,6 +191,49 @@ def test_jobs2_folds_worker_counters_and_merges_traces(tmp_path, obs_zoo_entry):
     snapshot = telemetry.snapshot()
     assert snapshot["worker_pids"] == sorted(set(telemetry.worker_pids))
     assert snapshot["trace"]["spans"] == trace["spans"]
+
+
+def test_a_serial_run_spans_the_variant_conversion_and_kernel_priming(
+    tmp_path, monkeypatch, obs_zoo_entry
+):
+    # a cell's warm-up converts the base model to its hardware variant and
+    # primes the variant's fused GEMM kernels, once per process
+    column = {"key": "m", "label": "m", "model": obs_zoo_entry, "variants": ["da"], "n_samples": 8}
+    spec = ExperimentSpec(
+        name="obs_da_accuracy",
+        kind="accuracy",
+        params={"columns": [column], "rows": [{"label": "DA", "variant": "da"}]},
+    )
+    span, handed = TRACER.span, []
+
+    def recording(name, cat="repro", **args):
+        handed.append((name, span(name, cat, **args)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(TRACER, "span", recording)
+    warm_ups = ("variant.convert", "kernel.prime")
+    for traced in (True, False):
+        clear_model_caches()
+        TRACER.configure(enabled=traced, directory=tmp_path / "spool")
+        del handed[:]
+        results = tmp_path / f"results-{traced}"
+        runner = Runner(
+            fast=True, cache_dir=tmp_path / f"cells-{traced}", results_dir=results, jobs=1
+        )
+        try:
+            runner.run(spec)
+        finally:
+            clear_model_caches()
+        warmed = [(name, s) for name, s in handed if name in warm_ups]
+        assert [name for name, _ in warmed] == list(warm_ups)
+        if not traced:  # untraced, each is the shared null span
+            assert all(s is _NULL_SPAN for _, s in warmed)
+    text = (tmp_path / "results-True" / "obs_da_accuracy.trace.ndjson").read_text()
+    spans = [json.loads(line) for line in text.splitlines()]
+    assert [s["args"] for s in spans if s["name"] == "variant.convert"] == [
+        {"model": obs_zoo_entry, "variant": "da"}
+    ]
+    assert [s["args"] for s in spans if s["name"] == "kernel.prime"] == [{"variant": "da"}]
 
 
 def test_serial_run_snapshot_has_no_worker_pids(tmp_path):

@@ -2,8 +2,11 @@
 
 import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -489,3 +492,42 @@ def test_shared_cells_are_computed_once_per_run(tmp_path, tiny_zoo_entry):
     assert (first.cache_hits, first.cache_misses) == (0, 1)
     assert (second.cache_hits, second.cache_misses) == (1, 0)
     assert first.metrics == second.metrics
+
+
+# ---------------------------------------------------------------- BLAS threads
+_BLAS_PROBE = """
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+from repro.allocator import blas_threads
+from repro.nn import native
+
+before = blas_threads()
+native.BACKEND.kernels()  # what the engine does before it forks its pool
+with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+    print(before, blas_threads(), pool.submit(blas_threads).result())
+"""
+
+
+@pytest.mark.skipif(not HAS_FORK, reason="pool workers inherit the setting by fork")
+def test_a_forked_pool_worker_of_an_unpinned_process_runs_one_blas_thread():
+    # more BLAS threads round a training GEMM differently: the program, not
+    # the environment, sets the count.  No BLAS variable reaches the child
+    from repro.allocator import blas_threads
+
+    if blas_threads() is None:
+        pytest.skip("numpy loaded no OpenBLAS here")
+    env = {
+        "PATH": os.environ["PATH"],
+        "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+        "REPRO_DA_CACHE": os.environ["REPRO_DA_CACHE"],
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, parent, worker = (int(n) for n in proc.stdout.split())
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cores > 1:
+        assert before > 1  # the child really started unpinned
+    assert (parent, worker) == (1, 1)

@@ -10,8 +10,10 @@ held while a unit the cell needs trains, a result that needs no unit is
 written while the units train, and the cost-aware dispatch starts the unit
 that would finish last before cells that can wait, without moving a bit.
 
-The zoo entries here are registered inside the tests and train in
-milliseconds; ``fork`` carries the registrations into the pool workers.
+The zoo entries here are tiny recipes registered inside the tests, whose
+units the zoo's own constructor (``recipe_unit``) reads off them; they train
+in milliseconds, and ``fork`` carries the registrations into the pool
+workers.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import json
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +31,16 @@ import pytest
 
 import repro.experiments.zoo as zoo
 import repro.parallel.engine as engine
-from repro.datasets import generate_digits, train_test_split
-from repro.experiments.zoo import ZOO, TrainingUnit, zoo_cache_path, zoo_units
+from repro.experiments.zoo import (
+    ZOO,
+    TrainingUnit,
+    zoo_cache_path,
+    zoo_recipe_digest,
+    zoo_units,
+)
 from repro.faults import FAULTS
-from repro.nn import Adam, build_lenet5, train_classifier
 from repro.nn.layers import PER_CALL_STATE
+from repro.nn.network import Sequential
 from repro.obs import TRACER
 from repro.parallel.plan import CellTask, build_plan
 from repro.pipeline import NONDETERMINISTIC_RESULT_FIELDS, ExperimentSpec, Runner
@@ -51,43 +59,58 @@ BASE, DEPENDENT, OTHER = "zoo_training_base", "zoo_training_dependent", "zoo_tra
 _RUNS = itertools.count()
 
 
-def _register(name, seed, split, depends_on=(), before_training=None, cost=None):
+#: the tiny entries' fast digits, which the tiny_zoo fixture patches over the zoo's
+TINY_DIGITS = {"n_samples": 120, "size": 12, "seed": 5}
+
+
+def _register(name, seed, depends_on=(), before_training=None, cost=None):
     """A tiny trainable entry; ``before_training(name)`` runs where its unit trains."""
-
-    def build():
-        return build_lenet5(
-            split.train.input_shape, conv_channels=(2, 4), fc_sizes=(8, 8), dropout=0.2, seed=seed
-        )
-
-    def train(model):
-        if before_training is not None:
-            before_training(name)
-        optimizer = Adam(model.parameters(), lr=0.003)
-        train_classifier(model, optimizer, split.train.images, split.train.labels, epochs=2)
-
-    def unit(fast=False):
-        return zoo._unit(name, name, lambda: ZOO.create(name, fast=fast)[0], fast, cost)
-
-    def entry(fast=False):
-        return zoo._cached_model(unit(fast), build, train), split
+    recipe = {
+        "arch": {
+            "builder": "lenet5",
+            "conv_channels": [2, 4],
+            "fc_sizes": [8, 8],
+            "dropout": 0.2,
+            "seed": seed,
+        },
+        "optimizer": {"kind": "adam", "lr": 0.003},
+        "schedule": {"epochs": 2, "fast_epochs": 2, "batch_size": 64},
+        "dataset": {
+            "name": "digits",
+            "config": TINY_DIGITS,
+            "fast_config": TINY_DIGITS,
+            "test_fraction": 0.25,
+        },
+        "depends_on": list(depends_on),
+    }
 
     def units(fast=False):
-        return [unit(fast)]
+        unit = zoo.recipe_unit(name, fast)
 
-    recipe = {"seed": seed, "depends_on": list(depends_on)}
+        def train(model):
+            if before_training is not None:
+                before_training(name)
+            unit.train(model)
+
+        return [replace(unit, cost=cost, train=train)]
+
+    def entry(fast=False):
+        (unit,) = units(fast)
+        return unit.resolve()[0], zoo.load_digits_split(recipe["dataset"]["test_fraction"], fast)
+
     ZOO.register(name, entry, metadata={"recipe": recipe, "units": units}, overwrite=True)
 
 
 @pytest.fixture()
 def tiny_zoo(tmp_path, monkeypatch):
     """Two tiny trainable entries over a private, initially empty zoo cache."""
-    split = train_test_split(generate_digits(120, size=12, seed=5), 0.25)
-    _register(BASE, 1, split)
-    _register(DEPENDENT, 2, split, depends_on=[BASE])
+    monkeypatch.setattr(zoo, "DIGITS_CONFIG_FAST", TINY_DIGITS)
+    _register(BASE, 1)
+    _register(DEPENDENT, 2, depends_on=[BASE])
     monkeypatch.setattr(zoo, "CACHE_DIR", tmp_path / "zoo-default")  # never the user's cache
     clear_model_caches()
     FAULTS.configure(None)
-    yield split
+    yield
     FAULTS.configure(None)
     clear_model_caches()
     TRACER.configure()
@@ -206,7 +229,7 @@ def test_a_unit_that_fails_in_the_parent_is_retried_then_names_its_cell(
             out.write(f"{os.getpid()}\n")
         raise RuntimeError(f"{name} cannot train anywhere")
 
-    _register(BASE, 1, tiny_zoo, before_training=fail)
+    _register(BASE, 1, before_training=fail)
     runner = Runner(fast=True, cache_dir=tmp_path / "cells", jobs=jobs)
     on_the_pool = pytest.warns(RuntimeWarning, match="failed on the pool")
     with on_the_pool if jobs > 1 else contextlib.nullcontext():
@@ -321,8 +344,8 @@ def test_no_lease_is_held_while_a_unit_the_cell_needs_is_unpublished(tmp_path, t
             for digest in needers[name]:
                 out.write(f"{name} {store.lease_holder('accuracy', digest)}\n")
 
-    _register(BASE, 1, tiny_zoo, before_training=probe)
-    _register(DEPENDENT, 2, tiny_zoo, depends_on=[BASE], before_training=probe)
+    _register(BASE, 1, before_training=probe)
+    _register(DEPENDENT, 2, depends_on=[BASE], before_training=probe)
     runner.run(accuracy_spec())
     assert sorted(seen.read_text().splitlines()) == [
         f"{BASE} None", f"{BASE} None", f"{DEPENDENT} None"
@@ -349,7 +372,7 @@ def test_a_result_that_needs_no_unit_is_written_while_a_unit_trains(tmp_path, ti
         # unit first times out here instead
         marker.write_text("written" if _wait_for(written) else "timed out")
 
-    _register(BASE, 1, tiny_zoo, before_training=block)
+    _register(BASE, 1, before_training=block)
     spec = accuracy_spec().replace(
         params={
             "columns": [
@@ -363,7 +386,7 @@ def test_a_result_that_needs_no_unit_is_written_while_a_unit_trains(tmp_path, ti
     runner.run_many([spec, "table07_energy_delay"], on_result=lambda r: landed.append(r.name))
     assert marker.read_text() == "written"
     assert landed == ["table07_energy_delay", spec.name]  # completion order
-    assert runner.telemetry.zoo_training()["pool" if jobs > 1 else "parent"] == [BASE]
+    assert runner.telemetry.zoo_training()["pool" if jobs > 1 else "parent"] == [f"{BASE}_fast"]
 
 
 def test_a_truncated_unit_file_is_retrained_with_the_same_bytes(tmp_path, tiny_zoo):
@@ -372,10 +395,11 @@ def test_a_truncated_unit_file_is_retrained_with_the_same_bytes(tmp_path, tiny_z
     before = npz_arrays(zoo_dir)
     (path,) = zoo_dir.glob("*.npz")
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-    trained = len(zoo.TRAINED_UNITS)
-    ZOO.create(BASE, fast=True)
-    assert [name for name, _ in zoo.TRAINED_UNITS[trained:]] == [BASE]
+    (unit,) = zoo_units(BASE, fast=True)
+    _, seconds = unit.resolve()
+    assert seconds is not None  # the unit's own report: it trained again
     assert npz_arrays(zoo_dir) == before
+    assert unit.resolve()[1] is None  # and now only loads
 
 
 def test_dependent_units_wait_for_their_recipe_dependencies():
@@ -420,9 +444,9 @@ def test_dataset_splits_are_memoised_read_only_and_cleared(tmp_path, monkeypatch
 def test_a_freshly_trained_unit_model_keeps_no_per_call_cache(tiny_zoo):
     # the trim after training would otherwise leave the last step's
     # activations and patch matrices in the heap
-    trained = len(zoo.TRAINED_UNITS)
-    model, _ = ZOO.create(BASE, fast=True)
-    assert [name for name, _ in zoo.TRAINED_UNITS[trained:]] == [BASE]
+    (unit,) = zoo_units(BASE, fast=True)
+    model, seconds = unit.resolve()
+    assert seconds is not None  # trained here, not loaded
     kept = [
         (type(layer).__name__, name)
         for layer in model.layers
@@ -474,6 +498,65 @@ NEEDS = {
 }
 
 
+#: the zoo requests of the catalog's cells: entry and the arguments its units take
+CATALOG_REQUESTS = (
+    ("lenet_digits", {}),
+    ("alexnet_objects", {}),
+    ("dq_objects", {}),
+    ("substitute_digits", {"victim": "exact"}),
+    ("substitute_digits", {"victim": "da"}),
+)
+
+
+def test_the_zoo_units_keep_their_names_paths_and_costs():
+    # the dispatch order and telemetry["zoo"]["cost"] read these costs, and
+    # the cached parameters live at these paths: what the recipes derive
+    # must not move under a refactor of how units are made
+    def units(fast):
+        return {
+            unit.name: (entry, unit)
+            for entry, kwargs in CATALOG_REQUESTS
+            for unit in zoo_units(entry, fast=fast, **kwargs)
+        }
+
+    fast, full = units(True), units(False)
+    assert {name: round(unit.cost / 1e6) for name, (_, unit) in fast.items()} == {
+        "lenet_digits_fast": FAST_COSTS[LENET],
+        "alexnet_objects_fast": FAST_COSTS[ALEXNET],
+        "dq_full_objects_4b_fast": FAST_COSTS[DQ_FULL],
+        "dq_weight_objects_4b_fast": FAST_COSTS[DQ_WEIGHT],
+        "substitute_exact_digits_fast": FAST_COSTS[SUB_EXACT],
+        "substitute_da_digits_fast": FAST_COSTS[SUB_DA],
+    }
+    # in MAC x samples: forward MACs per sample x training samples x epochs
+    assert {name: unit.cost for name, (_, unit) in full.items()} == {
+        "lenet_digits": 18_201_288_000,
+        "alexnet_objects": 89_499_648_000,
+        "dq_full_objects_4b": 98_307_993_600,
+        "dq_weight_objects_4b": 98_307_993_600,
+        "substitute_exact_digits": 2_022_400_000,
+        "substitute_da_digits": 2_022_400_000,
+    }
+    for name, (entry, unit) in {**fast, **full}.items():
+        assert unit.path == zoo.CACHE_DIR / f"{name}_{zoo_recipe_digest(entry)[:10]}.npz"
+
+
+def test_a_cached_substitute_loads_only_its_own_parameters(monkeypatch):
+    # the victim LeNet it is distilled from is resolved only when it trains
+    ZOO.create("substitute_digits", victim="exact", fast=True)  # trained first if missing
+    (unit,) = zoo_units("substitute_digits", fast=True, victim="exact")
+    loaded = []
+    load = Sequential.load
+
+    def recording(model, path):
+        loaded.append(Path(path).name)
+        return load(model, path)
+
+    monkeypatch.setattr(Sequential, "load", recording)
+    ZOO.create("substitute_digits", victim="exact", fast=True)
+    assert loaded == [unit.path.name]
+
+
 def fast_queue(order, costs=FAST_COSTS):
     """A ready queue over the fast zoo's units, unpublished in request ``order``.
 
@@ -483,7 +566,7 @@ def fast_queue(order, costs=FAST_COSTS):
 
     def unit(name):
         after = (lenet,) if name in (SUB_EXACT, SUB_DA) else ()  # they wait for the LeNet
-        return TrainingUnit(name, Path(name), lambda: None, after, costs.get(name))
+        return TrainingUnit(name=name, path=Path(name), after=after, cost=costs.get(name))
 
     lenet = unit(LENET)
     units = {name: lenet if name == LENET else unit(name) for name in order}
@@ -575,9 +658,9 @@ def test_a_cold_pool_run_writes_the_same_bytes_in_any_experiment_order(
     tmp_path, monkeypatch, tiny_zoo
 ):
     # costed units: once one has trained, the pool dispatches by cost
-    _register(BASE, 1, tiny_zoo, cost=20)
-    _register(DEPENDENT, 2, tiny_zoo, depends_on=[BASE], cost=1)
-    _register(OTHER, 3, tiny_zoo, cost=40)
+    _register(BASE, 1, cost=20)
+    _register(DEPENDENT, 2, depends_on=[BASE], cost=1)
+    _register(OTHER, 3, cost=40)
     specs = [
         accuracy_spec(),
         accuracy_spec((OTHER,), name="zoo_training_other_accuracy"),
@@ -591,7 +674,8 @@ def test_a_cold_pool_run_writes_the_same_bytes_in_any_experiment_order(
         cells = tmp_path / f"cells{index}"
         runner = Runner(fast=True, cache_dir=cells, results_dir=results, jobs=2)
         runner.run_many(order)
-        assert sorted(runner.telemetry.zoo_training()["pool"]) == sorted([BASE, DEPENDENT, OTHER])
+        trained = sorted(f"{name}_fast" for name in (BASE, DEPENDENT, OTHER))
+        assert sorted(runner.telemetry.zoo_training()["pool"]) == trained
         outputs = {}
         for name in ("zoo_training_accuracy", "zoo_training_other_accuracy", specs[2]):
             result = json.loads((results / f"{name}.json").read_text())
